@@ -26,9 +26,6 @@ class AbacusDisplay:
     r: int
     positions: tuple[int, ...]
 
-    def runner_of(self, p: int) -> int:
-        return p % self.d
-
     def partition(self) -> Partition:
         """Reconstruct the partition encoded by the bead positions."""
         return partition_from_beta(self.positions)

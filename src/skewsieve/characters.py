@@ -3,18 +3,21 @@
 A border-strip tableau of type (d^m) is the same thing as a sequence of m
 bead slides taking the outer display down to the inner one, with strips
 numbered in descending order of removal.  Character values never need the
-tableaux themselves: the signed and unsigned sequence counts are computed
-together by a memoized walk over the reachable bead configurations, and
-the sign alone comes even cheaper from the residue-class matching
-permutation.
+tableaux themselves.  On a rectangular type the quotient theorem gives
+the count in closed form (a multinomial of the d-quotient component sizes
+times Aitken determinants for their standard fillings) and the sign from
+the residue-class matching permutation.  Only arbitrary types and the
+explicit tableau listing walk the reachable bead configurations, and those
+two walks are the independent oracles for the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
-from .abacus import _legal_moves, skew_quotient
+from .abacus import _legal_moves, runner_classes, skew_quotient
 from .schur import count_ssyt
 from .shapes import Composition, SkewShape, partition_from_beta
 
@@ -34,12 +37,6 @@ class BorderStripTableau:
     @property
     def total_height(self) -> int:
         return sum(self.heights)
-
-    def label_of(self, cell: tuple[int, int]) -> int:
-        for i, strip in enumerate(self.strips):
-            if cell in strip:
-                return i + 1
-        raise KeyError(cell)
 
 
 @dataclass(frozen=True)
@@ -91,57 +88,72 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
             yield from walk(new)
             removed.pop()
 
-    yield from walk(start)
+    try:
+        yield from walk(start)
+    finally:
+        del walk  # the closure refers to itself; free it without the cycle collector
 
 
-def _strip_path_counts(shape: SkewShape, d: int) -> tuple[int, int]:
-    """(number, signed sum) of full removal sequences by size-d strips.
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact.  Overwrites ``rows``."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[n - 1][n - 1] if n else 1
 
-    Signed means each sequence weighted by (-1) to its total height.
-    Memoized over the reachable bead configurations, so the cost is the
-    number of intermediate shapes rather than the number of tableaux.
+
+def _standard_count(shape: SkewShape) -> int:
+    """Number of standard fillings f, by Aitken's determinant
+    f = N! det[1 / (outer_i - inner_j - i + j)!].
+
+    With a_i = outer_i - i + l and b_j = inner_j - j + l the entry is
+    1 / (a_i - b_j)!, so scaling row i by a_i! and column j by 1 / b_j!
+    turns the matrix into the binomials C(a_i, b_j).  Binomials keep the
+    elimination's intermediate minors far smaller than factorials would.
     """
-    r = shape.outer.length
-    target = shape.inner.beta_set(r)
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def walk(beta: tuple[int, ...]) -> tuple[int, int]:
-        if beta == target:
-            return (1, 1)
-        got = memo.get(beta)
-        if got is None:
-            count = signed = 0
-            for _, height, new in _legal_moves(beta, d, target):
-                c, s = walk(new)
-                count += c
-                signed += s if height % 2 == 0 else -s
-            got = (count, signed)
-            memo[beta] = got
-        return got
-
-    return walk(shape.outer.beta_set(r))
+    l = shape.outer.length
+    tops = [p - i + l for i, p in enumerate(shape.outer.parts)]
+    bottoms = [p - j + l for j, p in enumerate(shape.inner_padded)]
+    det = _integer_det([[comb(a, b) for b in bottoms] for a in tops])
+    num = factorial(shape.size) * det * prod(map(factorial, bottoms))
+    return num // prod(map(factorial, tops))
 
 
 def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     """Character value on the rectangular type (d^m) with m = size / d.
 
-    The signed and unsigned tableau counts are computed independently and
-    must agree in absolute value: all tableaux of a given shape and strip
-    size share the same height parity.
+    By the quotient theorem the border-strip tableaux are counted by the
+    multinomial of the d-quotient component sizes times each component's
+    number of standard fillings, and they all share the sign of the
+    residue-class matching permutation; without a quotient there are none.
+    Polynomial in the number of rows: no bead configuration is visited.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if shape.size % d != 0:
         raise ValueError("size mismatch: strip size must divide the shape size")
-    count, signed = _strip_path_counts(shape, d)
-    if count == 0:
+    sq = skew_quotient(shape, d)
+    if not sq.exists:
         return SkewCharValue(0, 0, 0)
-    if abs(signed) != count:
-        raise RuntimeError(
-            "height parity differs across border-strip tableaux; "
-            "this contradicts a proven invariant and indicates a bug"
-        )
-    return SkewCharValue(signed, count, 1 if signed > 0 else -1)
+    count, placed = 1, 0
+    for component in sq.components:
+        placed += component.size
+        count *= comb(placed, component.size) * _standard_count(component)
+    sign = permutation_sign(perm(shape, d))
+    return SkewCharValue(sign * count, count, sign)
 
 
 def skew_char(shape: SkewShape, nu: Composition | Iterable[int]) -> int:
@@ -175,7 +187,10 @@ def skew_char(shape: SkewShape, nu: Composition | Iterable[int]) -> int:
             memo[key] = got
         return got
 
-    return walk(0, shape.outer.beta_set(r))
+    try:
+        return walk(0, shape.outer.beta_set(r))
+    finally:
+        del walk  # the closure refers to itself; free the memo with it
 
 
 def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
@@ -186,16 +201,8 @@ def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
     enumerations of matching classes are paired off.  The result is the
     one-line form (image of 1, image of 2, ...).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    l = shape.outer.length
-    outer_classes: list[list[int]] = [[] for _ in range(d)]
-    inner_classes: list[list[int]] = [[] for _ in range(d)]
-    for i in range(1, l + 1):
-        outer_classes[(shape.outer.parts[i - 1] + l - i) % d].append(i)
-        inner_classes[(shape.inner_padded[i - 1] + l - i) % d].append(i)
-    image = [0] * l
-    for a, b in zip(outer_classes, inner_classes):
+    image = [0] * shape.outer.length
+    for a, b in zip(runner_classes(shape, d, "lambda"), runner_classes(shape, d, "mu")):
         if len(a) != len(b):
             raise ValueError("cores differ")
         for src, dst in zip(a, b):
@@ -238,7 +245,8 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
     sq = skew_quotient(shape, d)
     if not sq.exists:
         return 0
-    assert shape.size % d == 0, "existing quotient forces divisible size"
+    if shape.size % d != 0:
+        raise RuntimeError("a quotient exists but d does not divide the size")
     sign = permutation_sign(perm(shape, d))
     product = 1
     for component in sq.components:

@@ -3,8 +3,8 @@
 Each check pins a concrete value the library must reproduce exactly:
 divisor-basis decompositions of two stretched skew shapes, the shifted
 variants that fall outside the basis span, a 3-quotient, a residue-class
-matching permutation with its sign, and a Jacobi-Trudi index matrix with
-its runner classes.
+matching permutation whose sign the strip walk confirms, and a
+Jacobi-Trudi index matrix with its runner classes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .abacus import runner_classes, skew_quotient
 from .analysis import analyze, analyze_shifted
-from .characters import one_line_string, perm, permutation_sign, skew_char_rect
+from .characters import one_line_string, perm, permutation_sign, skew_char, skew_char_rect
 from .qpoly import Verdict
 from .schur import jt_matrix
 from .shapes import Partition, SkewShape
@@ -87,17 +87,19 @@ def _check_perm_and_sign() -> CheckResult:
     shape = SkewShape(Partition([9, 9, 6, 6, 6, 4, 1]), Partition([2, 1, 1, 1]))
     pi = perm(shape, 3)
     sign = permutation_sign(pi)
-    char = skew_char_rect(shape, 3)
+    # the character side comes from the strip walk, not from the sign above
+    walk = skew_char(shape, (3,) * (shape.size // 3))
+    count = skew_char_rect(shape, 3).bst_count
     ok = (
         one_line_string(pi) == "2147356"
         and sign == -1
-        and char.epsilon == -1
-        and sign == char.epsilon
+        and walk < 0
+        and abs(walk) == count
     )
     return CheckResult(
         "matching permutation 2147356 with sign -1 = character sign",
         ok,
-        f"perm={one_line_string(pi)} sign={sign} epsilon={char.epsilon}",
+        f"perm={one_line_string(pi)} sign={sign} walk={walk} bst_count={count}",
     )
 
 

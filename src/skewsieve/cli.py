@@ -1,8 +1,10 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required), 2 usage error.  All output is deterministic, and
-divisor maps are always emitted with ascending numeric keys.
+where one is required), 2 usage error, 3 internal error (a broken
+invariant inside the library, reported as one line on stderr).  All
+output is deterministic, and divisor maps are always emitted with
+ascending numeric keys.
 
 The environment variable SIEVE_THREADS caps library parallelism with 0
 meaning automatic; the current implementation runs sequentially, which
@@ -354,6 +356,9 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -99,9 +99,6 @@ class Tableau:
     shape: SkewShape
     entries: tuple[tuple[tuple[int, int], int], ...]
 
-    def entry(self, cell: tuple[int, int]) -> int:
-        return dict(self.entries)[cell]
-
     @property
     def weight(self) -> int:
         """Sum of (entry - 1) over all cells."""
@@ -141,7 +138,10 @@ def _fillings(shape: SkewShape, k: int) -> Iterator[tuple[int, ...]]:
             values[idx] = v
             yield from rec(idx + 1)
 
-    return rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # the closure refers to itself; free it without the cycle collector
 
 
 def iter_ssyt(shape: SkewShape, k: int) -> Iterator[Tableau]:

@@ -195,6 +195,33 @@ def diagram_signed_char(lam, mu, sizes) -> int:
     return rec(lam, len(sizes) - 1)
 
 
+def hook_length_count(lam: tuple[int, ...]) -> int:
+    """Standard fillings of a straight shape by the hook-length formula."""
+    from math import factorial
+
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            hooks *= (p - j - 1) + (conj[j] - i - 1) + 1
+    return factorial(sum(lam)) // hooks
+
+
+@lru_cache(maxsize=None)
+def corner_removal_count(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Standard fillings of lam/mu: the largest entry sits in an outer
+    corner of lam outside mu, so sum over removing each such corner."""
+    if sum(lam) == sum(mu):
+        return 1
+    padded = mu + (0,) * (len(lam) - len(mu))
+    total = 0
+    for i, p in enumerate(lam):
+        if p > padded[i] and (i + 1 == len(lam) or lam[i + 1] < p):
+            nu = lam[:i] + (p - 1,) + lam[i + 1 :]
+            total += corner_removal_count(nu[: len(nu) - (nu[-1] == 0)], mu)
+    return total
+
+
 def compositions_of(n: int, max_parts: int | None = None):
     """All compositions of n (ordered tuples of positive parts)."""
     if max_parts is None:

@@ -24,6 +24,7 @@ from skewsieve.characters import (
     one_line_string,
     perm,
     permutation_sign,
+    skew_char,
     skew_char_rect,
 )
 from skewsieve.qpoly import (
@@ -98,8 +99,11 @@ def test_c05_matching_permutation_and_character_sign():
     pi = perm(shape, 3)
     assert one_line_string(pi) == "2147356"
     sign = permutation_sign(pi)
-    epsilon = skew_char_rect(shape, 3).epsilon
-    assert sign == epsilon == -1
+    # the character side comes from the strip walk, independent of perm
+    walk = skew_char(shape, (3,) * (shape.size // 3))
+    assert sign == -1 and walk < 0
+    # height parity: the signed walk sum is the full tableau count
+    assert abs(walk) == skew_char_rect(shape, 3).bst_count
     report("05", "perm = 2147356 with sign -1 = character sign")
 
 

@@ -1,6 +1,9 @@
+import gc
+from math import comb
+
 import pytest
 
-from skewsieve.abacus import remove_strip_moves, skew_quotient
+from skewsieve.abacus import _legal_moves, quotient, remove_strip_moves, skew_quotient
 from skewsieve.characters import (
     enumerate_bst,
     eval_at_root,
@@ -12,7 +15,7 @@ from skewsieve.characters import (
     skew_char_rect,
 )
 from skewsieve.qpoly import eval_at_primitive_root
-from skewsieve.schur import principal_specialization
+from skewsieve.schur import iter_ssyt, principal_specialization, ssyt_generating_function
 from skewsieve.shapes import (
     Partition,
     SkewShape,
@@ -22,8 +25,12 @@ from skewsieve.shapes import (
 
 from helpers import (
     compositions_of,
+    corner_removal_count,
     diagram_signed_char,
+    hook_length_count,
     is_border_strip_cells,
+    partitions_in_box,
+    partitions_of,
     partitions_up_to,
     subpartitions,
 )
@@ -79,12 +86,12 @@ def test_enumerate_bst_is_valid_and_deterministic():
 
 
 def test_bst_counts_cross_validate_walk_counts():
-    for lam in partitions_up_to(7):
+    for lam in partitions_up_to(9):
         for mu in subpartitions(lam):
             shape = SkewShape(Partition(lam), Partition(mu))
             if shape.size == 0:
                 continue
-            for d in (2, 3):
+            for d in (2, 3, 4, 5):
                 if shape.size % d:
                     continue
                 tableaux = list(enumerate_bst(shape, d))
@@ -194,9 +201,69 @@ def test_perm_sign_equals_character_sign_exhaustively():
             for d in divisors(shape.size):
                 if not skew_quotient(shape, d).exists:
                     continue
-                value = skew_char_rect(shape, d)
-                assert value.bst_count > 0
-                assert permutation_sign(perm(shape, d)) == value.epsilon
+                walk = skew_char(shape, (d,) * (shape.size // d))
+                count = skew_char_rect(shape, d).bst_count
+                assert count > 0
+                # every tableau has the same height parity
+                assert abs(walk) == count
+                assert permutation_sign(perm(shape, d)) == (1 if walk > 0 else -1)
+
+
+def test_standard_counts_match_corner_removal():
+    # with d = 1 the quotient is the shape itself and the value is f
+    for lam in partitions_in_box(4, 5):
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            f = corner_removal_count(lam, mu)
+            value = skew_char_rect(shape, 1)
+            assert (value.value, value.bst_count, value.epsilon) == (f, f, 1)
+
+
+def test_straight_shapes_beyond_the_walk_match_hook_lengths():
+    shapes = [Partition(wide).conjugate().parts for wide in partitions_of(60, 4)]
+    shapes += [(1,) * 60, (2,) * 30, (15,) + tuple(range(9, 0, -1)), (12, 12, 9, 9, 6, 6, 3, 3)]
+    for lam in shapes:
+        f = hook_length_count(lam)
+        value = skew_char_rect(SkewShape(Partition(lam)), 1)
+        assert (value.value, value.bst_count, value.epsilon) == (f, f, 1)
+
+
+def test_stretched_staircase_at_twelve_rows():
+    lam = Partition(range(24, 0, -2))  # size 156, far past the walk's reach
+    value = skew_char_rect(SkewShape(lam), 2)
+    comps = [c.parts for c in quotient(lam, 2, lam.length)]
+    sizes = [sum(c) for c in comps]
+    expected = comb(sum(sizes), sizes[0])
+    for c in comps:
+        expected *= hook_length_count(c)
+    assert value.bst_count == expected
+    # the height parity of any one removal sequence gives the sign
+    beta, target, height = lam.beta_set(12), Partition().beta_set(12), 0
+    while beta != target:
+        _, h, beta = _legal_moves(beta, 2, target)[0]
+        height += h
+    assert value.epsilon == (-1) ** height
+    assert value.value == value.epsilon * value.bst_count
+
+
+def test_walk_memos_are_freed_without_the_cycle_collector():
+    domino = SkewShape.parse("4,4,2")
+    calls = [
+        lambda: skew_char(SEVEN_ROW_SHAPE, (3,) * 12),
+        lambda: list(enumerate_bst(domino, 2)),
+        lambda: next(enumerate_bst(domino, 2)),
+        lambda: ssyt_generating_function(SkewShape.parse("3,2/1"), 3),
+        lambda: next(iter_ssyt(SkewShape.parse("3,2/1"), 3)),
+        lambda: skew_char_rect(SEVEN_ROW_SHAPE, 3),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_at_root_examples():

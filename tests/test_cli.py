@@ -183,3 +183,24 @@ def test_thread_cap_env(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["core", "--shape", "3,1", "--order", "2"])
     assert code == 2
     assert "SIEVE_THREADS" in err
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    import skewsieve.characters as characters
+    import skewsieve.cli as cli
+    from skewsieve.abacus import SkewQuotient
+
+    def broken_guarantee(*args, **kwargs):
+        raise RuntimeError("guaranteed case came out pre-csp")
+
+    monkeypatch.setattr(cli, "analyze", broken_guarantee)
+    code, out, err = invoke(
+        capsys, ["analyze", "--shape", "2,2", "--vars", "2", "--mod", "2"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "internal error: guaranteed case came out pre-csp\n"
+
+    # a quotient for a size d does not divide: eval-root checks it even under -O
+    monkeypatch.setattr(characters, "skew_quotient", lambda shape, d: SkewQuotient(True, ()))
+    code, out, err = invoke(capsys, ["eval-root", "--shape", "1", "--vars", "2", "--order", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
