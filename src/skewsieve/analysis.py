@@ -44,15 +44,12 @@ class CspReport:
     orbit_counts: dict[int, int] | None
 
 
-def analyze(shape: SkewShape, k: int, m: int, full: bool = False) -> CspReport:
-    """Specialize with k variables, reduce mod q^m - 1, and decompose.
-
-    The determinant runs inside the residue ring unless ``full`` asks for
-    the unreduced polynomial first (the reduced result is identical).
-    """
+def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
+    """Specialize with k variables inside the residue ring mod q^m - 1 and
+    decompose."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    poly = principal_specialization(shape, k, mod=None if full else m)
+    poly = principal_specialization(shape, k, mod=m)
     dec = csp_decompose(poly, m)
     row_div = all(diff % m == 0 for diff in shape.row_diffs())
     vars_div = k % m == 0

@@ -8,7 +8,11 @@ the count in closed form (a multinomial of the d-quotient component sizes
 times Aitken determinants for their standard fillings) and the sign from
 the residue-class matching permutation.  Only arbitrary types and the
 explicit tableau listing walk the reachable bead configurations, and those
-two walks are the independent oracles for the closed form.
+two walks are the independent oracles for the closed form.  Both are
+loops, so the number of strips is not bounded by the recursion limit: the
+arbitrary-type count is a forward pass holding one signed count per
+configuration for the current and the next strip, and the listing is a
+depth-first search over an explicit stack of untried moves.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .abacus import _legal_moves, runner_classes, skew_quotient
-from .schur import count_ssyt
+from .schur import _integer_det, count_ssyt
 from .shapes import Composition, SkewShape, partition_from_beta
 
 
@@ -75,44 +79,30 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     r = shape.outer.length
     start = shape.outer.beta_set(r)
     target = shape.inner.beta_set(r)
+    if start == target:
+        yield BorderStripTableau((), ())
+        return
+    # stack[i] holds a configuration and its untried moves; removed[i] is
+    # the strip (cells, height) that led from stack[i] to stack[i + 1]
+    stack = [(start, iter(_legal_moves(start, d, target)))]
     removed: list[tuple[frozenset, int]] = []
-
-    def walk(beta: tuple[int, ...]) -> Iterator[BorderStripTableau]:
-        if beta == target:
+    while stack:
+        beta, moves = stack[-1]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            if removed:
+                removed.pop()
+            continue
+        _, height, new = move
+        removed.append((_strip_cells(beta, new), height))
+        if new == target:
             strips = tuple(cells for cells, _ in reversed(removed))
             heights = tuple(h for _, h in reversed(removed))
             yield BorderStripTableau(strips, heights)
-            return
-        for _, height, new in _legal_moves(beta, d, target):
-            removed.append((_strip_cells(beta, new), height))
-            yield from walk(new)
             removed.pop()
-
-    try:
-        yield from walk(start)
-    finally:
-        del walk  # the closure refers to itself; free it without the cycle collector
-
-
-def _integer_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact.  Overwrites ``rows``."""
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot, top = rows[k][k], rows[k]
-        for row in rows[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * rows[n - 1][n - 1] if n else 1
+        else:
+            stack.append((new, iter(_legal_moves(new, d, target))))
 
 
 def _standard_count(shape: SkewShape) -> int:
@@ -171,26 +161,15 @@ def skew_char(shape: SkewShape, nu: Composition | Iterable[int]) -> int:
         raise ValueError("size mismatch: type must sum to the shape size")
     r = shape.outer.length
     target = shape.inner.beta_set(r)
-    order = tuple(reversed(sizes))
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def walk(step: int, beta: tuple[int, ...]) -> int:
-        if step == len(order):
-            return 1 if beta == target else 0
-        key = (step, beta)
-        got = memo.get(key)
-        if got is None:
-            got = 0
-            for _, height, new in _legal_moves(beta, order[step], target):
-                sub = walk(step + 1, new)
-                got += sub if height % 2 == 0 else -sub
-            memo[key] = got
-        return got
-
-    try:
-        return walk(0, shape.outer.beta_set(r))
-    finally:
-        del walk  # the closure refers to itself; free the memo with it
+    # signed tableau counts per bead configuration after each strip
+    counts = {shape.outer.beta_set(r): 1}
+    for size in reversed(sizes):
+        reached: dict[tuple[int, ...], int] = {}
+        for beta, count in counts.items():
+            for _, height, new in _legal_moves(beta, size, target):
+                reached[new] = reached.get(new, 0) + (count if height % 2 == 0 else -count)
+        counts = reached
+    return counts.get(target, 0)
 
 
 def perm(shape: SkewShape, d: int) -> tuple[int, ...]:

@@ -5,17 +5,12 @@ where one is required), 2 usage error, 3 internal error (a broken
 invariant inside the library, reported as one line on stderr).  All
 output is deterministic, and divisor maps are always emitted with
 ascending numeric keys.
-
-The environment variable SIEVE_THREADS caps library parallelism with 0
-meaning automatic; the current implementation runs sequentially, which
-respects any cap, but the value is still validated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import islice
 
@@ -32,7 +27,7 @@ from .characters import (
     skew_char_rect,
 )
 from .checks import builtin_checks
-from .qpoly import QPoly, reduce_mod
+from .qpoly import QPoly
 from .schur import principal_specialization
 from .shapes import Composition, Partition, SkewShape
 
@@ -78,14 +73,6 @@ def _composition(text: str) -> Composition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def thread_cap() -> int:
-    """Validated value of SIEVE_THREADS (0 = automatic, the default)."""
-    raw = os.environ.get("SIEVE_THREADS", "0").strip()
-    if not raw.isdigit():
-        raise ValueError(f"SIEVE_THREADS must be a nonnegative integer, got {raw!r}")
-    return int(raw)
-
-
 def _poly_json(poly: QPoly) -> dict[str, int]:
     return {str(e): c for e, c in enumerate(poly.coeffs) if c != 0}
 
@@ -123,9 +110,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_specialize(args) -> int:
-    poly = principal_specialization(args.shape, args.vars, mod=None if args.full else args.mod)
-    if args.mod is not None and args.full:
-        poly = reduce_mod(poly, args.mod)
+    poly = principal_specialization(args.shape, args.vars, mod=args.mod)
     payload = {
         "shape": str(args.shape),
         "vars": args.vars,
@@ -148,7 +133,7 @@ def _cmd_analyze(args) -> int:
             )
         _emit(args, payload, text)
         return 0
-    report = analyze(args.shape, args.vars, args.mod, full=args.full)
+    report = analyze(args.shape, args.vars, args.mod)
     dec = report.decomposition
     payload = {
         "shape": str(args.shape),
@@ -290,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--vars", type=_positive_int, required=True, metavar="K")
     p.add_argument("--mod", type=_positive_int, metavar="M")
-    p.add_argument("--full", action="store_true", help="compute the unreduced polynomial")
     p.set_defaults(func=_cmd_specialize)
 
     p = sub.add_parser("analyze", help="divisor-basis decomposition and verdict")
@@ -298,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=_positive_int, required=True, metavar="K")
     p.add_argument("--mod", type=_positive_int, required=True, metavar="M")
     p.add_argument("--shift", type=_nonnegative_int, metavar="I")
-    p.add_argument("--full", action="store_true", help="compute the unreduced polynomial")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("quotient", help="componentwise quotient of a skew shape")
@@ -344,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    try:
-        thread_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,11 +1,13 @@
 """Principal specializations of skew Schur polynomials.
 
 The primary route is the Jacobi-Trudi determinant whose (i, j) entry is
-the q-binomial for outer_i - inner_j + j - i; the brute-force route walks
-every semistandard filling directly and is kept as an independent check.
-The determinant is expanded by column subsets, which is division-free, and
-may run entirely inside the residue ring mod q^m - 1 since reduction is a
-ring homomorphism.
+the q-binomial for outer_i - inner_j + j - i; the brute-force route steps
+through every semistandard filling in lexicographic order and is kept as an
+independent check.  The polynomial determinant is expanded by column
+subsets, which is division-free, and may run entirely inside the residue
+ring mod q^m - 1 since reduction is a ring homomorphism.  At q = 1 the
+entries are plain integers, and the filling count comes from fraction-free
+(Bareiss) elimination in O(l^3) operations.
 """
 
 from __future__ import annotations
@@ -42,14 +44,15 @@ def jt_matrix(shape: SkewShape) -> JTMatrix:
     return JTMatrix(l, rows)
 
 
-def det_by_column_subsets(rows, zero, one, post: Callable | None = None):
-    """Division-free determinant via minors indexed by column subsets.
+def det_by_column_subsets(rows, post: Callable | None = None) -> QPoly:
+    """Division-free determinant of a square matrix of ``QPoly`` entries
+    via minors indexed by column subsets.
 
-    Works for any ring elements supporting +, -, * and truthiness for
-    zero-skipping; ``post`` (when given) is applied to every product to
-    keep intermediates reduced.
+    Zero entries are skipped; ``post`` (when given) is applied to every
+    product to keep intermediates reduced.
     """
     n = len(rows)
+    zero, one = QPoly.zero(), QPoly.one()
     if n == 0:
         return one
     minors = {0: one}
@@ -73,6 +76,27 @@ def det_by_column_subsets(rows, zero, one, post: Callable | None = None):
     return minors[(1 << n) - 1]
 
 
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact.  Overwrites ``rows``."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[n - 1][n - 1] if n else 1
+
+
 def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -> QPoly:
     """The skew Schur polynomial at x_i = q^(i-1) for i = 1..k.
 
@@ -85,11 +109,9 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     m = jt_matrix(shape)
     if mod is None:
         rows = [[gaussian_binomial(e, k) for e in row] for row in m.entries]
-        return det_by_column_subsets(rows, QPoly.zero(), QPoly.one())
+        return det_by_column_subsets(rows)
     rows = [[reduced_gaussian_binomial(e, k, mod) for e in row] for row in m.entries]
-    return det_by_column_subsets(
-        rows, QPoly.zero(), QPoly.one(), post=lambda f: reduce_mod(f, mod)
-    )
+    return det_by_column_subsets(rows, post=lambda f: reduce_mod(f, mod))
 
 
 @dataclass(frozen=True)
@@ -122,26 +144,28 @@ def _fillings(shape: SkewShape, k: int) -> Iterator[tuple[int, ...]]:
     emitted in lexicographic order."""
     plan = _cell_plan(shape)
     n = len(plan)
+    # an odometer over the cells: values[idx] == 0 means cell idx is
+    # entered afresh at its lowest value, otherwise it moves up by one
     values = [0] * n
-
-    def rec(idx: int) -> Iterator[tuple[int, ...]]:
+    idx = 0
+    while idx >= 0:
         if idx == n:
             yield tuple(values)
-            return
-        _, left, up = plan[idx]
-        lo = 1
-        if left >= 0:
-            lo = values[left]
-        if up >= 0 and values[up] + 1 > lo:
-            lo = values[up] + 1
-        for v in range(lo, k + 1):
+            idx -= 1
+            continue
+        if values[idx]:
+            v = values[idx] + 1
+        else:
+            _, left, up = plan[idx]
+            v = values[left] if left >= 0 else 1
+            if up >= 0 and values[up] + 1 > v:
+                v = values[up] + 1
+        if v > k:
+            values[idx] = 0
+            idx -= 1
+        else:
             values[idx] = v
-            yield from rec(idx + 1)
-
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # the closure refers to itself; free it without the cycle collector
+            idx += 1
 
 
 def iter_ssyt(shape: SkewShape, k: int) -> Iterator[Tableau]:
@@ -172,7 +196,7 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     """Number of semistandard fillings with entries <= k.
 
     Evaluates the Jacobi-Trudi determinant at q = 1, where each entry
-    becomes a plain binomial multiset count.
+    becomes a plain binomial multiset count, by integer elimination.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -180,4 +204,4 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     rows = [
         [comb(e + k - 1, k - 1) if e >= 0 else 0 for e in row] for row in m.entries
     ]
-    return det_by_column_subsets(rows, 0, 1)
+    return _integer_det(rows)

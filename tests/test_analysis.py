@@ -43,17 +43,15 @@ def test_analyze_trivial_shape():
 
 
 def test_analyze_full_path_agrees():
+    # decomposing the unreduced polynomial agrees with analyze, which
+    # computes the determinant inside the residue ring
     shape = SkewShape(Partition([12, 12, 4]), Partition([8, 4]))
-    fast = analyze(shape, 6, 4)
-    full = analyze(shape, 6, 4, full=True)
-    assert fast.decomposition == full.decomposition
-    # the unreduced determinant reproduces the headline numbers as well
+    full = csp_decompose(principal_specialization(shape, 6), 4)
+    assert analyze(shape, 6, 4).decomposition == full
     big = SkewShape(Partition([27, 27, 18, 9]), Partition([18, 9]))
-    assert analyze(big, 4, 9, full=True).decomposition.coefficients == {
-        1: 1,
-        3: -3,
-        9: 54665112,
-    }
+    full = csp_decompose(principal_specialization(big, 4), 9)
+    assert full == analyze(big, 4, 9).decomposition
+    assert full.coefficients == {1: 1, 3: -3, 9: 54665112}
 
 
 def test_analyze_validates_input():

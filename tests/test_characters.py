@@ -68,6 +68,9 @@ def test_enumerate_bst_trivial_shapes():
     lam = Partition([3, 1])
     empty = list(enumerate_bst(SkewShape(lam, lam), 5))
     assert len(empty) == 1 and empty[0].num_strips == 0
+    # more strips than the interpreter's recursion limit
+    long_row = list(enumerate_bst(SkewShape.parse("1200"), 1))
+    assert len(long_row) == 1 and long_row[0].num_strips == 1200
 
 
 def test_enumerate_bst_is_valid_and_deterministic():
@@ -150,6 +153,9 @@ def test_skew_char_general():
     assert skew_char(SkewShape.parse("2,1"), (1, 0, 1, 1)) == 2  # zero parts dropped
     lam = Partition([2, 2])
     assert skew_char(SkewShape(lam, lam), ()) == 1
+    # more strips than the interpreter's recursion limit
+    assert skew_char(SkewShape.parse("1200"), (1,) * 1200) == 1
+    assert skew_char(SkewShape.parse(",".join(["1"] * 1200)), (1,) * 1200) == 1
     with pytest.raises(ValueError, match="size mismatch"):
         skew_char(SkewShape.parse("2,1"), (2, 2))
     for lam in partitions_up_to(6):

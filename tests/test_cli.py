@@ -31,14 +31,21 @@ def test_specialize_reduced_and_json(capsys):
 
 
 def test_specialize_full_flag_matches(capsys):
-    _, fast, _ = invoke(
-        capsys, ["specialize", "--shape", "3,2/1", "--vars", "3", "--mod", "4"]
-    )
+    # the unreduced polynomial folded mod q^4 - 1 is the reduced one
     _, full, _ = invoke(
-        capsys,
-        ["specialize", "--shape", "3,2/1", "--vars", "3", "--mod", "4", "--full"],
+        capsys, ["specialize", "--shape", "3,2/1", "--vars", "3", "--json"]
     )
-    assert fast == full
+    folded = [0] * 4
+    for e, c in json.loads(full)["poly"].items():
+        folded[int(e) % 4] += c
+    _, reduced, _ = invoke(
+        capsys,
+        ["specialize", "--shape", "3,2/1", "--vars", "3", "--mod", "4", "--json"],
+    )
+    assert json.loads(reduced)["poly"] == {str(e): c for e, c in enumerate(folded) if c}
+    with pytest.raises(SystemExit) as exc:  # the flag is gone
+        run(["specialize", "--shape", "3,2/1", "--vars", "3", "--mod", "4", "--full"])
+    assert exc.value.code == 2
 
 
 def test_analyze_json(capsys):
@@ -117,6 +124,10 @@ def test_bst_and_char(capsys):
     assert out.strip() == "2"
     code, _, err = invoke(capsys, ["char", "--shape", "2,1"])
     assert code == 2
+    # more strips than the interpreter's recursion limit
+    ones = ",".join(["1"] * 1200)
+    code, out, _ = invoke(capsys, ["char", "--shape", "1200", "--nu", ones])
+    assert code == 0 and out == "1\n"
 
 
 def test_eval_root_and_perm(capsys):
@@ -174,15 +185,6 @@ def test_output_is_deterministic(capsys):
     _, second, _ = invoke(capsys, argv)
     assert first == second
 
-
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("SIEVE_THREADS", "4")
-    code, out, _ = invoke(capsys, ["core", "--shape", "3,1", "--order", "2"])
-    assert code == 0
-    monkeypatch.setenv("SIEVE_THREADS", "-1")
-    code, _, err = invoke(capsys, ["core", "--shape", "3,1", "--order", "2"])
-    assert code == 2
-    assert "SIEVE_THREADS" in err
 
 def test_internal_errors_exit_3(capsys, monkeypatch):
     import skewsieve.characters as characters

@@ -141,6 +141,8 @@ def test_ssyt_generating_function_edge_cases():
     assert ssyt_generating_function(SkewShape.parse("1,1"), 1).is_zero
     lam = Partition([2, 2])
     assert ssyt_generating_function(SkewShape(lam, lam), 3) == QPoly.one()
+    # more cells than the interpreter's recursion limit
+    assert ssyt_generating_function(SkewShape.parse("1000"), 1) == QPoly.one()
 
 
 def test_count_ssyt():
@@ -154,6 +156,13 @@ def test_count_ssyt():
             sh = SkewShape(Partition(lam), Partition(mu))
             for k in (1, 2, 3):
                 assert count_ssyt(sh, k) == ssyt_generating_function(sh, k).evaluate(1)
+    # stretched bands: row i covers the columns (m(l - i), m(l - i + w) + i mod w];
+    # reduction mod q - 1 folds the column-subset determinant to its value at 1
+    for l, m, w, k in ((12, 2, 2, 4), (13, 3, 3, 5)):
+        outer = [m * (l - i + w) + i % w for i in range(1, l + 1)]
+        inner = [m * (l - i) for i in range(1, l + 1)]
+        sh = SkewShape(Partition(outer), Partition(inner))
+        assert count_ssyt(sh, k) == principal_specialization(sh, k, mod=1).coefficient(0)
 
 
 def test_multiset_counter_coefficients_transfer_between_moduli():
