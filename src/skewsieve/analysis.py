@@ -18,7 +18,6 @@ from .qpoly import (
     csp_decompose,
     gaussian_binomial,
     reduce_mod,
-    reduced_gaussian_binomial,
 )
 from .schur import principal_specialization
 from .shapes import SkewShape, is_border_strip
@@ -45,8 +44,7 @@ class CspReport:
 
 
 def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
-    """Specialize with k variables inside the residue ring mod q^m - 1 and
-    decompose."""
+    """Specialize with k variables, fold modulo q^m - 1 and decompose."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
     poly = principal_specialization(shape, k, mod=m)
@@ -88,7 +86,7 @@ def verify_qbinomial_reduction_identity(n: int, k: int, m: int) -> bool:
     values.  Returns False only on a genuine inequality."""
     if n < 1 or k < 1 or m < 1 or n % m != 0:
         raise ValueError("need n, k, m >= 1 with m dividing n")
-    lhs = reduced_gaussian_binomial(n, k, m)
+    lhs = reduce_mod(gaussian_binomial(n, k), m)
     total = gaussian_binomial(0, n)
     for j in range(1, k):
         total = total + gaussian_binomial(j, n)

@@ -11,6 +11,11 @@ when its coefficients are constant on the classes {j : gcd(j, m) = g}, and
 the basis coefficients are then recovered by Mobius inversion over the
 divisor lattice.  Everything stays in integer arithmetic; no root of unity
 is ever touched numerically.
+
+A polynomial with nonnegative coefficients below 2^(8w) is also held
+exactly by its value at q = 2^(8w), whose base-2^(8w) digits are the
+coefficients (Kronecker substitution); the q-binomials, and in ``schur``
+the Jacobi-Trudi determinant, are computed as such values and unpacked.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Iterable
 
 
@@ -289,30 +294,38 @@ def eval_at_primitive_root(f: QPoly, m: int, j: int) -> int:
     return sum(d * ad for d, ad in dec.coefficients.items() if g % d == 0)
 
 
-@lru_cache(maxsize=None)
+def _q_binomial_at(n: int, k: int, w: int) -> int:
+    """[n + k - 1 choose n] at q = 2^(8w) for n >= 0, by the exact product
+    of (q^(n+i) - 1) / (q^i - 1) over 0 < i < k; each partial product is
+    the q-binomial [n + i choose i], so every division is exact."""
+    bits, acc = 8 * w, 1
+    for i in range(1, k):
+        acc = ((acc << bits * (n + i)) - acc) // ((1 << bits * i) - 1)
+    return acc
+
+
+def _digits(value: int, w: int) -> list[int]:
+    """Base-2^(8w) digits of value >= 0, least significant first."""
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+
+@lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int) -> QPoly:
     """The q-binomial [n + k - 1 choose n]_q counting n-multisets of {1..k}.
 
     Equals the principal specialization of the n-th complete homogeneous
     polynomial in k variables.  Negative n gives the zero polynomial and
-    n = 0 gives 1.  Computed by the division-free Pascal recurrence.
+    n = 0 gives 1.  The coefficients are nonnegative and sum to
+    C(n + k - 1, n), so each fits in w bytes; they are read off as the
+    base-2^(8w) digits of the value at q = 2^(8w).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
         return QPoly.zero()
-    if n == 0:
-        return QPoly.one()
-    if k == 1:
-        return QPoly.one()
-    # [n+k-1, n]_q = [n+k-2, n]_q + q^(k-1) [n+k-2, n-1]_q
-    return gaussian_binomial(n, k - 1) + gaussian_binomial(n - 1, k).shift(k - 1)
-
-
-@lru_cache(maxsize=None)
-def reduced_gaussian_binomial(n: int, k: int, m: int) -> QPoly:
-    """gaussian_binomial(n, k) reduced modulo q^m - 1, cached."""
-    return reduce_mod(gaussian_binomial(n, k), m)
+    w = comb(n + k - 1, n).bit_length() // 8 + 1
+    return QPoly(_digits(_q_binomial_at(n, k, w), w))
 
 
 def a_coefficient(l: int, k: int, n: int) -> int:
@@ -323,4 +336,4 @@ def a_coefficient(l: int, k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return reduced_gaussian_binomial(n, k, k).coefficient(l % k)
+    return reduce_mod(gaussian_binomial(n, k), k).coefficient(l % k)

@@ -3,21 +3,20 @@
 The primary route is the Jacobi-Trudi determinant whose (i, j) entry is
 the q-binomial for outer_i - inner_j + j - i; the brute-force route steps
 through every semistandard filling in lexicographic order and is kept as an
-independent check.  The polynomial determinant is expanded by column
-subsets, which is division-free, and may run entirely inside the residue
-ring mod q^m - 1 since reduction is a ring homomorphism.  At q = 1 the
-entries are plain integers, and the filling count comes from fraction-free
-(Bareiss) elimination in O(l^3) operations.
+independent check.  Both the polynomial and the filling count come from
+one integer determinant, fraction-free (Bareiss) elimination in O(l^3)
+operations: at q = 1 for the count, and at q = 2^(8w) for the polynomial,
+whose coefficients are then read off as base-2^(8w) digits (Kronecker
+substitution); the fold mod q^m - 1 is taken last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .qpoly import QPoly, gaussian_binomial, reduce_mod, reduced_gaussian_binomial
+from .qpoly import QPoly, _digits, _q_binomial_at, reduce_mod
 from .shapes import SkewShape
 
 
@@ -44,38 +43,6 @@ def jt_matrix(shape: SkewShape) -> JTMatrix:
     return JTMatrix(l, rows)
 
 
-def det_by_column_subsets(rows, post: Callable | None = None) -> QPoly:
-    """Division-free determinant of a square matrix of ``QPoly`` entries
-    via minors indexed by column subsets.
-
-    Zero entries are skipped; ``post`` (when given) is applied to every
-    product to keep intermediates reduced.
-    """
-    n = len(rows)
-    zero, one = QPoly.zero(), QPoly.one()
-    if n == 0:
-        return one
-    minors = {0: one}
-    for p in range(1, n + 1):
-        new = {}
-        row = rows[p - 1]
-        for cols in combinations(range(n), p):
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
-            acc = zero
-            for t, c in enumerate(cols):
-                if not row[c]:
-                    continue
-                term = row[c] * minors[mask ^ (1 << c)]
-                if post is not None:
-                    term = post(term)
-                acc = acc + term if (p - 1 + t) % 2 == 0 else acc - term
-            new[mask] = acc
-        minors = new
-    return minors[(1 << n) - 1]
-
-
 def _integer_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact.  Overwrites ``rows``."""
@@ -100,18 +67,28 @@ def _integer_det(rows: list[list[int]]) -> int:
 def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -> QPoly:
     """The skew Schur polynomial at x_i = q^(i-1) for i = 1..k.
 
-    With ``mod`` set the whole determinant is computed in the residue
-    ring mod q^mod - 1, which is the fast path for decomposition work;
-    the result is then the reduced polynomial.
+    The Jacobi-Trudi determinant is taken over the integers at q = 2^(8w)
+    (Kronecker substitution).  Its coefficients are nonnegative and sum to
+    count_ssyt(shape, k), so with w bytes enough to hold that count they
+    are the base-2^(8w) digits of the determinant.  With ``mod`` set the
+    result is reduced modulo q^mod - 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = jt_matrix(shape)
-    if mod is None:
-        rows = [[gaussian_binomial(e, k) for e in row] for row in m.entries]
-        return det_by_column_subsets(rows)
-    rows = [[reduced_gaussian_binomial(e, k, mod) for e in row] for row in m.entries]
-    return det_by_column_subsets(rows, post=lambda f: reduce_mod(f, mod))
+    count = count_ssyt(shape, k)
+    w = count.bit_length() // 8 + 1
+    rows = [
+        [_q_binomial_at(e, k, w) if e >= 0 else 0 for e in row]
+        for row in jt_matrix(shape).entries
+    ]
+    det = _integer_det(rows)
+    if det < 0 or sum(coeffs := _digits(det, w)) != count:
+        raise RuntimeError(
+            f"the digits of the determinant at q = 2^{8 * w} do not sum to "
+            f"{count} for {shape}, k={k}; this indicates a bug in this library"
+        )
+    poly = QPoly(coeffs)
+    return poly if mod is None else reduce_mod(poly, mod)
 
 
 @dataclass(frozen=True)
@@ -120,11 +97,6 @@ class Tableau:
 
     shape: SkewShape
     entries: tuple[tuple[tuple[int, int], int], ...]
-
-    @property
-    def weight(self) -> int:
-        """Sum of (entry - 1) over all cells."""
-        return sum(v - 1 for _, v in self.entries)
 
 
 def _cell_plan(shape: SkewShape) -> list[tuple[tuple[int, int], int, int]]:

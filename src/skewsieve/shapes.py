@@ -251,27 +251,15 @@ class SkewShape:
 def is_border_strip(shape: SkewShape) -> bool:
     """True iff the cells are edge-connected and contain no 2x2 block.
 
-    The empty shape is not a border strip.
+    Equivalently, the nonempty rows are consecutive and each adjacent pair
+    of them shares exactly one column.  The empty shape is not a border
+    strip.
     """
-    cells = set(shape.cells())
-    if not cells:
+    rows = [i for i, d in enumerate(shape.row_diffs()) if d]
+    if not rows or rows[-1] - rows[0] != len(rows) - 1:
         return False
-    for (i, j) in cells:
-        if (i, j + 1) in cells and (i + 1, j) in cells and (i + 1, j + 1) in cells:
-            return False
-    # flood fill by shared edges
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        i, j = c
-        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in cells and nb not in seen:
-                stack.append(nb)
-    return len(seen) == len(cells)
+    outer, inner = shape.outer.parts, shape.inner_padded
+    return all(outer[i + 1] - inner[i] == 1 for i in rows[:-1])
 
 
 def is_horizontal_strip(shape: SkewShape) -> bool:

@@ -15,6 +15,12 @@ def test_specialize_text(capsys):
     code, out, _ = invoke(capsys, ["specialize", "--shape", "1", "--vars", "2"])
     assert code == 0
     assert out.strip() == "1 + q"
+    # a 500-cell row: q-binomial tables deeper than the recursion limit
+    code, out, _ = invoke(
+        capsys, ["specialize", "--shape", "500", "--vars", "2", "--mod", "3"]
+    )
+    assert code == 0
+    assert out.strip() == "167 + 167*q + 167*q^2"
 
 
 def test_specialize_reduced_and_json(capsys):
@@ -189,6 +195,7 @@ def test_output_is_deterministic(capsys):
 def test_internal_errors_exit_3(capsys, monkeypatch):
     import skewsieve.characters as characters
     import skewsieve.cli as cli
+    import skewsieve.schur as schur
     from skewsieve.abacus import SkewQuotient
 
     def broken_guarantee(*args, **kwargs):
@@ -206,3 +213,10 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, out, err = invoke(capsys, ["eval-root", "--shape", "1", "--vars", "2", "--order", "2"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    # determinant digits that do not add up to the filling count
+    count = schur.count_ssyt
+    monkeypatch.setattr(schur, "count_ssyt", lambda shape, k: count(shape, k) + 1)
+    code, out, err = invoke(capsys, ["specialize", "--shape", "2,1", "--vars", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: the digits") and err.count("\n") == 1

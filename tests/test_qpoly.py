@@ -110,6 +110,8 @@ def test_gaussian_binomial_examples():
     assert gaussian_binomial(0, 4) == QPoly.one()
     assert gaussian_binomial(-5, 6).is_zero
     assert gaussian_binomial(3, 1) == QPoly.one()
+    # deeper than the interpreter's recursion limit
+    assert gaussian_binomial(2000, 2) == QPoly([1] * 2001)
     with pytest.raises(ValueError):
         gaussian_binomial(2, 0)
 

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
     csp_decompose,
     divisors,
+    eval_at_primitive_root,
     gaussian_binomial,
     reduce_mod,
 )
 from skewsieve.abacus import skew_quotient
+from skewsieve.analysis import analyze
+from skewsieve.characters import eval_at_root
 from skewsieve.schur import (
     count_ssyt,
     iter_ssyt,
@@ -95,6 +99,27 @@ def test_specialization_matches_enumeration_random_larger_shapes():
         k = rng.randint(1, 4)
         shape = SkewShape(Partition(lam), Partition(mu))
         assert principal_specialization(shape, k) == ssyt_generating_function(shape, k)
+
+
+SMALL_PARTITIONS = list(partitions_up_to(8))
+
+
+@st.composite
+def small_skew_shapes(draw):
+    lam = draw(st.sampled_from(SMALL_PARTITIONS))
+    mu = draw(st.sampled_from(list(subpartitions(lam))))
+    return SkewShape(Partition(lam), Partition(mu))
+
+
+@settings(max_examples=80)
+@given(small_skew_shapes(), st.integers(1, 4), st.integers(1, 6))
+@example(SkewShape(Partition()), 3, 2)  # the empty shape gives 1
+@example(SkewShape.parse("4,2/2"), 1, 4)  # one letter fills a horizontal strip once
+@example(SkewShape.parse("2,1,1,1/1"), 2, 5)  # a column longer than k gives 0
+def test_specialization_matches_enumeration_property(shape, k, m):
+    poly = principal_specialization(shape, k)
+    assert poly == ssyt_generating_function(shape, k)
+    assert principal_specialization(shape, k, mod=m) == reduce_mod(poly, m)
 
 
 def test_reduced_path_matches_full_reduction():
@@ -222,3 +247,11 @@ def test_determinant_factors_through_quotient_components():
         product = product * principal_specialization(component, 2).substitute_power(2)
     dec = csp_decompose(reduce_mod(product, 2), 2)
     assert dec.coefficients[1] == full.coefficients[1]
+    # stretched staircases with more rows than a 2^l expansion affords: the
+    # value at a cube root of unity against the quotient-theorem route
+    for l in (16, 20):
+        shape = SkewShape(Partition([3 * (l - 1 - i) for i in range(l)]))
+        assert analyze(shape, 6, 3).decomposition.verdict is Verdict.CSP
+        poly = principal_specialization(shape, 6)
+        assert poly.evaluate(1) == count_ssyt(shape, 6)
+        assert eval_at_primitive_root(poly, 3, 1) == eval_at_root(shape, 6, 3)

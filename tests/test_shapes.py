@@ -13,7 +13,13 @@ from skewsieve.shapes import (
     partition_from_beta,
 )
 
-from helpers import cells_of, compositions_with_parts, partitions_up_to, subpartitions
+from helpers import (
+    cells_of,
+    compositions_with_parts,
+    is_border_strip_cells,
+    partitions_up_to,
+    subpartitions,
+)
 
 
 partition_parts = st.lists(st.integers(0, 9), max_size=6).map(
@@ -131,6 +137,14 @@ def test_border_strip_implies_nonempty():
             shape = SkewShape(Partition(lam), Partition(mu))
             if is_border_strip(shape):
                 assert shape.size >= 1
+
+
+def test_is_border_strip_matches_cell_test_exhaustively():
+    # the row-interval rule against flood fill and 2x2 blocks on the cells
+    for lam in partitions_up_to(9):
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            assert is_border_strip(shape) == is_border_strip_cells(cells_of(lam, mu))
 
 
 def test_border_strip_shape_from_composition():
