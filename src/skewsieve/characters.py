@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .abacus import _legal_moves, runner_classes, skew_quotient
 from .schur import _integer_det, count_ssyt
-from .shapes import Composition, SkewShape, partition_from_beta
+from .shapes import SkewShape, partition_from_beta
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,14 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     return SkewCharValue(sign * count, count, sign)
 
 
-def skew_char(shape: SkewShape, nu: Composition | Iterable[int]) -> int:
+def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     """Character value on an arbitrary type: the signed count of tableaux
     whose label-i strip has size nu_i.
 
     Zero parts of nu are dropped.  Strips are removed in decreasing label
     order, so the last part of nu comes off first.
     """
-    parts = tuple(nu.parts if isinstance(nu, Composition) else nu)
+    parts = tuple(nu)
     if any(p < 0 for p in parts):
         raise ValueError("type parts must be nonnegative")
     sizes = tuple(p for p in parts if p > 0)

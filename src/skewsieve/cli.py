@@ -32,45 +32,33 @@ from .schur import principal_specialization
 from .shapes import Composition, Partition, SkewShape
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
-    return value
+def _int_at_least(low: int, complaint: str):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{complaint}: {text}")
+        return value
+
+    return convert
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
-    return value
+_positive_int = _int_at_least(1, "must be a positive integer")
+_nonnegative_int = _int_at_least(0, "must be nonnegative")
 
 
-def _shape(text: str) -> SkewShape:
-    try:
-        return SkewShape.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _parsed(cls):
+    """An argparse type that reads ``cls.parse`` errors as usage errors."""
 
+    def convert(text: str):
+        try:
+            return cls.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-def _partition(text: str) -> Partition:
-    try:
-        return Partition.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _composition(text: str) -> Composition:
-    try:
-        return Composition.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 def _poly_json(poly: QPoly) -> dict[str, int]:
@@ -84,6 +72,13 @@ def _decomposition_json(dec) -> dict:
     else:
         out["a"] = {str(d): dec.coefficients[d] for d in sorted(dec.coefficients)}
     return out
+
+
+def _decomposition_lines(dec) -> list[str]:
+    lines = [f"verdict: {dec.verdict.value}"]
+    if dec.coefficients is not None:
+        lines += [f"a_{d} = {dec.coefficients[d]}" for d in sorted(dec.coefficients)]
+    return lines
 
 
 def _bst_grid(tableau, shape: SkewShape) -> str:
@@ -126,12 +121,7 @@ def _cmd_analyze(args) -> int:
         dec = analyze_shifted(args.shape, args.vars, args.mod, args.shift)
         payload = {"shape": str(args.shape), "vars": args.vars, "shift": args.shift}
         payload.update(_decomposition_json(dec))
-        text = f"verdict: {dec.verdict.value}"
-        if dec.coefficients is not None:
-            text += "".join(
-                f"\na_{d} = {dec.coefficients[d]}" for d in sorted(dec.coefficients)
-            )
-        _emit(args, payload, text)
+        _emit(args, payload, "\n".join(_decomposition_lines(dec)))
         return 0
     report = analyze(args.shape, args.vars, args.mod)
     dec = report.decomposition
@@ -151,9 +141,7 @@ def _cmd_analyze(args) -> int:
             else {str(d): report.orbit_counts[d] for d in sorted(report.orbit_counts)},
         }
     )
-    lines = [f"verdict: {dec.verdict.value}"]
-    if dec.coefficients is not None:
-        lines += [f"a_{d} = {dec.coefficients[d]}" for d in sorted(dec.coefficients)]
+    lines = _decomposition_lines(dec)
     lines.append(f"csp guaranteed: {'yes' if report.csp_guaranteed else 'no'}")
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -265,11 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, shape=True, json_flag=True):
-        if shape:
-            p.add_argument("--shape", type=_shape, required=True, metavar="OUTER[/INNER]")
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="emit JSON")
+    def add_common(p):
+        p.add_argument("--shape", type=_parsed(SkewShape), required=True, metavar="OUTER[/INNER]")
+        p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("specialize", help="principal specialization polynomial")
     add_common(p)
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("core", help="core of a straight partition")
-    p.add_argument("--shape", dest="partition", type=_partition, required=True, metavar="PARTS")
+    p.add_argument("--shape", dest="partition", type=_parsed(Partition), required=True, metavar="PARTS")
     p.add_argument("--order", type=_positive_int, required=True, metavar="D")
     p.add_argument("--abacus", action="store_true", help="also render the display")
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="skew character value")
     add_common(p)
     p.add_argument("--type", type=_positive_int, metavar="D", help="rectangular type of strip size D")
-    p.add_argument("--nu", type=_composition, metavar="A,B,...", help="arbitrary type")
+    p.add_argument("--nu", type=_parsed(Composition), metavar="A,B,...", help="arbitrary type")
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("eval-root", help="specialization at a root of unity")

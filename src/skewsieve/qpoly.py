@@ -24,23 +24,23 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterable
 
 
+@dataclass(frozen=True, slots=True)
 class QPoly:
-    """Dense integer polynomial in q; the zero polynomial has no coefficients."""
+    """Dense integer polynomial in q; the zero polynomial has no coefficients.
 
-    __slots__ = ("coeffs",)
+    The constructor accepts any iterable of integers and drops trailing
+    zeros."""
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = tuple(int(c) for c in coeffs)
+    coeffs: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        coeffs = tuple(int(c) for c in self.coeffs)
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", coeffs[:n])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -127,17 +127,8 @@ class QPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QPoly({list(self.coeffs)})"
 
     def __str__(self) -> str:
         return self.to_text()

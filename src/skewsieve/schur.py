@@ -91,14 +91,6 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     return poly if mod is None else reduce_mod(poly, mod)
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A semistandard filling of a skew shape; cells are 1-based (row, col)."""
-
-    shape: SkewShape
-    entries: tuple[tuple[tuple[int, int], int], ...]
-
-
 def _cell_plan(shape: SkewShape) -> list[tuple[tuple[int, int], int, int]]:
     """Row-major cells with the indices of their left and upper neighbours
     inside the plan (-1 when absent)."""
@@ -138,15 +130,6 @@ def _fillings(shape: SkewShape, k: int) -> Iterator[tuple[int, ...]]:
         else:
             values[idx] = v
             idx += 1
-
-
-def iter_ssyt(shape: SkewShape, k: int) -> Iterator[Tableau]:
-    """All semistandard tableaux with entries in 1..k, lexicographically."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cells = shape.cells()
-    for values in _fillings(shape, k):
-        yield Tableau(shape, tuple(zip(cells, values)))
 
 
 def ssyt_generating_function(shape: SkewShape, k: int) -> QPoly:

@@ -11,23 +11,27 @@ shape is ``"OUTER/INNER"``, e.g. ``"9,9,6,6,6,4,1/2,1,1,1"``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
-def _canonical(parts: Iterable[int]) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
-    for i, p in enumerate(parts):
-        if p < 0:
-            raise ValueError(f"negative part {p} at index {i}")
-        if i > 0 and p > parts[i - 1]:
-            raise ValueError(f"parts not weakly decreasing at index {i}: {parts}")
-    # strip trailing zeros; constructors accept them, equality ignores them
-    n = len(parts)
-    while n > 0 and parts[n - 1] == 0:
-        n -= 1
-    return parts[:n]
+def _parse_parts(text: str, kind: str) -> list[int]:
+    """Comma-separated runs of ASCII digits, spaces allowed around each;
+    "" gives [].  A bad piece is named by its offset in the stripped text."""
+    text = text.strip()
+    if not text:
+        return []
+    parts, pos = [], 0
+    for chunk in text.split(","):
+        piece = chunk.strip()
+        if not (piece.isascii() and piece.isdigit()):
+            raise ValueError(f"invalid {kind} at position {pos}: {text!r}")
+        parts.append(int(piece))
+        pos += len(chunk) + 1
+    return parts
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A weakly decreasing tuple of nonnegative integers (a Young diagram).
 
@@ -35,32 +39,28 @@ class Partition:
     form; equality and hashing use the canonical form.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...] = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        object.__setattr__(self, "parts", _canonical(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
+        for i, p in enumerate(parts):
+            if p < 0:
+                raise ValueError(f"negative part {p} at index {i}")
+            if i > 0 and p > parts[i - 1]:
+                raise ValueError(f"parts not weakly decreasing at index {i}: {parts}")
+        n = len(parts)
+        while n > 0 and parts[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "parts", parts[:n])
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse comma-separated parts; "" and "0" give the empty partition."""
-        text = text.strip()
-        if text == "" or text == "0":
-            return cls()
-        parts = []
-        pos = 0
-        for chunk in text.split(","):
-            piece = chunk.strip()
-            if not piece or not piece.isdigit():
-                raise ValueError(f"invalid partition at position {pos}: {text!r}")
-            parts.append(int(piece))
-            pos += len(chunk) + 1
+        parts = _parse_parts(text, "partition")
         try:
             return cls(parts)
         except ValueError as exc:
-            raise ValueError(f"invalid partition {text!r}: {exc}") from exc
+            raise ValueError(f"invalid partition {text.strip()!r}: {exc}") from exc
 
     @property
     def length(self) -> int:
@@ -104,20 +104,11 @@ class Partition:
             sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
@@ -130,26 +121,21 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
     return Partition(b - (r - 1 - i) for i, b in enumerate(beta))
 
 
+@dataclass(frozen=True, slots=True)
 class Composition:
     """A finite sequence of nonnegative integers, not necessarily sorted."""
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...] = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
         if any(p < 0 for p in parts):
             raise ValueError("composition parts must be nonnegative")
         object.__setattr__(self, "parts", parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
-
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(int(p) for p in text.split(","))
+        return cls(_parse_parts(text, "composition"))
 
     @property
     def size(self) -> int:
@@ -161,16 +147,8 @@ class Composition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
 
-    def __hash__(self) -> int:
-        return hash(("Composition", self.parts))
-
-    def __repr__(self) -> str:
-        return f"Composition({list(self.parts)})"
-
-
+@dataclass(frozen=True, slots=True)
 class SkewShape:
     """An outer partition with an inner partition contained in it.
 
@@ -178,21 +156,19 @@ class SkewShape:
     formulas stay total.  Cells are 1-based (row, column) pairs.
     """
 
-    __slots__ = ("outer", "inner", "inner_padded")
+    outer: Partition
+    inner: Partition = Partition()
+    inner_padded: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, outer: Partition, inner: Partition = Partition()):
+    def __post_init__(self):
+        outer, inner = self.outer, self.inner
         if not isinstance(outer, Partition) or not isinstance(inner, Partition):
             raise TypeError("SkewShape expects Partition arguments")
         if not outer.contains(inner):
             raise ValueError(f"{outer} does not contain {inner}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
         object.__setattr__(
             self, "inner_padded", tuple(inner.part(i) for i in range(outer.length))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
@@ -229,19 +205,6 @@ class SkewShape:
             self.outer.parts[i] - self.inner_padded[i] for i in range(self.outer.length)
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewShape)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
-
-    def __repr__(self) -> str:
-        return f"SkewShape({self.outer!r}, {self.inner!r})"
-
     def __str__(self) -> str:
         if self.inner.length == 0:
             return str(self.outer)
@@ -271,14 +234,14 @@ def is_horizontal_strip(shape: SkewShape) -> bool:
     )
 
 
-def border_strip_shape(alpha: Composition | Iterable[int]) -> SkewShape:
+def border_strip_shape(alpha: Iterable[int]) -> SkewShape:
     """Build the border strip whose row lengths are the given composition.
 
     Row i of the result has alpha_i cells and consecutive rows overlap in
     exactly one column, so every composition with all parts >= 1 yields a
     valid connected strip.
     """
-    parts = tuple(alpha.parts if isinstance(alpha, Composition) else alpha)
+    parts = tuple(alpha)
     if not parts:
         return SkewShape(Partition())
     if any(p < 1 for p in parts):

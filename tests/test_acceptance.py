@@ -8,10 +8,13 @@ that value is zero (the quotient is missing, or a quotient component has a
 column longer than the number of letters per residue class).
 """
 
+import os
 import subprocess
 import sys
 from math import gcd, lcm
+from pathlib import Path
 
+import skewsieve
 from skewsieve.abacus import runner_classes, skew_quotient
 from skewsieve.analysis import (
     analyze,
@@ -287,8 +290,11 @@ def test_c13_top_order_root_values_and_kostka_foulkes():
 
 
 def test_c14_cli_verify_runs_green():
+    # the child imports the same copy of the package as this suite
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "skewsieve", "verify"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )

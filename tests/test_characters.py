@@ -15,7 +15,7 @@ from skewsieve.characters import (
     skew_char_rect,
 )
 from skewsieve.qpoly import eval_at_primitive_root
-from skewsieve.schur import iter_ssyt, principal_specialization, ssyt_generating_function
+from skewsieve.schur import _fillings, principal_specialization, ssyt_generating_function
 from skewsieve.shapes import (
     Partition,
     SkewShape,
@@ -259,7 +259,7 @@ def test_walk_memos_are_freed_without_the_cycle_collector():
         lambda: list(enumerate_bst(domino, 2)),
         lambda: next(enumerate_bst(domino, 2)),
         lambda: ssyt_generating_function(SkewShape.parse("3,2/1"), 3),
-        lambda: next(iter_ssyt(SkewShape.parse("3,2/1"), 3)),
+        lambda: next(_fillings(SkewShape.parse("3,2/1"), 3)),
         lambda: skew_char_rect(SEVEN_ROW_SHAPE, 3),
     ]
     gc.collect()

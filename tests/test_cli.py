@@ -1,8 +1,20 @@
+import dataclasses
 import json
 
 import pytest
 
+import skewsieve.checks as checks
 from skewsieve.cli import run
+
+SEVEN_ROWS = "9,9,6,6,6,4,1/2,1,1,1"
+VERIFY_NAMES = [
+    "decomposition 27,27,18,9/18,9 (4 vars, mod 9)",
+    "decomposition 12,12,4/8,4 (6 vars, mod 4)",
+    "shifted decompositions all leave the basis span",
+    "3-quotient of 9,9,6,6,6,4,1/2,1,1,1",
+    "matching permutation 2147356 with sign -1 = character sign",
+    "index matrix of 13,10,10,10,6/7,4,4,4 and its 3-runner classes",
+]
 
 
 def invoke(capsys, argv):
@@ -156,6 +168,74 @@ def test_verify_passes(capsys):
     assert "6/6 checks passed" in out
 
 
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    real = checks.analyze
+
+    def off_by_one_at_mod_9(shape, k, m):
+        report = real(shape, k, m)
+        if m != 9:
+            return report
+        dec = report.decomposition
+        wrong = dataclasses.replace(dec, coefficients={**dec.coefficients, 1: 2})
+        return dataclasses.replace(report, decomposition=wrong)
+
+    monkeypatch.setattr(checks, "analyze", off_by_one_at_mod_9)
+    code, out, err = invoke(capsys, ["verify"])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"FAIL {VERIFY_NAMES[0]}",
+        "     computed ('pre-csp', {1: 2, 3: -3, 9: 54665112})",
+        *(f"ok   {name}" for name in VERIFY_NAMES[1:]),
+        "5/6 checks passed",
+    ]
+
+
+# one text-mode call per subcommand, its stdout pinned byte for byte
+PINNED_STDOUT = [
+    pytest.param(
+        ["analyze", "--shape", "12,12,4/8,4", "--vars", "6", "--mod", "4"],
+        "verdict: csp\na_1 = 12\na_2 = 264\na_4 = 1576440\ncsp guaranteed: no\n",
+        id="analyze",
+    ),
+    pytest.param(
+        ["analyze", "--shape", "6,4,2/2,2", "--vars", "4", "--mod", "2", "--shift", "1"],
+        "verdict: pre-csp\na_1 = -12\na_2 = 636\n",
+        id="analyze-shift",
+    ),
+    pytest.param(
+        ["quotient", "--shape", "3,2/1", "--order", "2", "--abacus"],
+        "outer:\n0 1\n· ·\n● ·\n● ·\ninner:\n0 1\n● ·\n● ·\n1,1 ; 0\n",
+        id="quotient-abacus",
+    ),
+    pytest.param(
+        ["core", "--shape", "5,3,1", "--order", "2", "--abacus"],
+        "0 1\n· ●\n· ·\n● ·\n· ●\n1\n",
+        id="core-abacus",
+    ),
+    pytest.param(
+        ["bst", "--shape", "3,3", "--order", "2", "--show", "1"],
+        "count: 3\nepsilon: -1\n1 2 3\n1 2 3\n",
+        id="bst-show",
+    ),
+    pytest.param(
+        ["char", "--shape", SEVEN_ROWS, "--type", "3"],
+        "value: -582120\nbst_count: 582120\nepsilon: -1\n",
+        id="char-type",
+    ),
+    pytest.param(["perm", "--shape", SEVEN_ROWS, "--order", "3"], "2147356\n", id="perm"),
+    pytest.param(
+        ["verify"],
+        "".join(f"ok   {name}\n" for name in VERIFY_NAMES) + "6/6 checks passed\n",
+        id="verify",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_STDOUT)
+def test_text_output_is_pinned(capsys, argv, expected):
+    assert invoke(capsys, argv) == (0, expected, "")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["specialize", "--shape", "2,1", "--vars", "0"])
@@ -169,10 +249,18 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_shape_parse_error_reports_position(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["specialize", "--shape", "2,x,1", "--vars", "2"])
-    assert exc.value.code == 2
-    assert "position" in capsys.readouterr().err
+    for argv in (
+        ["specialize", "--shape", "2,x,1", "--vars", "2"],
+        ["specialize", "--shape", "\u0661", "--vars", "2"],
+        ["specialize", "--shape", "\u00b2", "--vars", "2"],
+        ["char", "--shape", "2", "--nu", "1,,1"],
+        ["char", "--shape", "2", "--nu", "+2"],
+        ["char", "--shape", "10", "--nu", "1_0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "position" in capsys.readouterr().err
 
 
 def test_domain_errors_exit_1(capsys):

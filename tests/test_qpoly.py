@@ -52,6 +52,17 @@ def test_qpoly_canonical_and_arith():
     assert QPoly([1, 2]).substitute_power(3).coeffs == (1, 0, 0, 2)
 
 
+def test_qpoly_is_a_frozen_value():
+    f = QPoly(c for c in (1, 2, 0))
+    assert f == QPoly((1, 2)) and hash(f) == hash(QPoly([1, 2]))
+    assert f != QPoly([1, 2, 1]) and f != (1, 2)
+    assert repr(f) == "QPoly(coeffs=(1, 2))"
+    with pytest.raises(AttributeError):
+        f.coeffs = ()
+    with pytest.raises(AttributeError):
+        del f.coeffs
+
+
 def test_qpoly_text():
     assert QPoly().to_text() == "0"
     assert QPoly([1, 1]).to_text() == "1 + q"

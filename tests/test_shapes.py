@@ -53,6 +53,10 @@ def test_parse_and_str():
         Partition.parse("3,x")
     with pytest.raises(ValueError):
         Partition.parse("1,2")
+    # only ASCII digits are parts
+    for text in ("\u0661", "\u00b2", "+1", "1_0", "3,-1"):
+        with pytest.raises(ValueError, match="invalid partition at position"):
+            Partition.parse(text)
 
 
 def test_stretch():
@@ -198,5 +202,29 @@ def test_composition():
     assert nu.size == 5
     assert tuple(nu) == (2, 0, 3)
     assert Composition.parse("2,0,3") == nu
+    assert Composition.parse(" 2, 0 ,3 ") == nu
+    assert Composition.parse("") == Composition()
     with pytest.raises(ValueError):
         Composition([1, -1])
+    # the partition grammar: ASCII digits, and a bad piece names its offset
+    for text, pos in (("+1", 0), ("1_0", 0), ("1,,2", 2), ("2,-1", 2), ("1,\u0661", 2), ("\u00b2", 0)):
+        with pytest.raises(ValueError, match=f"invalid composition at position {pos}:"):
+            Composition.parse(text)
+
+
+def test_value_types_are_frozen_and_compare_by_value():
+    lam, mu = Partition(iter([3, 1, 0])), Partition([1])
+    shape = SkewShape(lam, mu)
+    nu = Composition(x for x in (1, 2))
+    assert lam.parts == (3, 1) and nu.parts == (1, 2)
+    assert shape == SkewShape.parse("3,1/1") and hash(shape) == hash(SkewShape.parse("3,1/1"))
+    assert shape != SkewShape(lam) and nu != Composition([2, 1]) and lam != Composition([3, 1])
+    assert repr(shape) == "SkewShape(outer=Partition(parts=(3, 1)), inner=Partition(parts=(1,)))"
+    assert repr(nu) == "Composition(parts=(1, 2))"
+    for obj, name in ((lam, "parts"), (nu, "parts"), (shape, "inner"), (shape, "inner_padded")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(TypeError):
+        SkewShape((3, 1), (1,))
