@@ -13,13 +13,12 @@ two displays stay aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .shapes import Partition, SkewShape, partition_from_beta
 
 
-@dataclass(frozen=True)
-class AbacusDisplay:
+class AbacusDisplay(NamedTuple):
     """d runners holding r beads at strictly decreasing positions."""
 
     d: int
@@ -46,8 +45,7 @@ class AbacusDisplay:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SkewQuotient:
+class SkewQuotient(NamedTuple):
     """Componentwise quotient of a skew shape; components is None when the
     inner and outer displays cannot be matched runner by runner."""
 

@@ -10,7 +10,7 @@ this library, never as a finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qpoly import (
     CspDecomposition,
@@ -23,8 +23,7 @@ from .schur import principal_specialization
 from .shapes import SkewShape, is_border_strip
 
 
-@dataclass(frozen=True)
-class CspReport:
+class CspReport(NamedTuple):
     """Decomposition of a principal specialization plus the guarantee flags.
 
     ``orbit_counts`` repeats the coefficients when the verdict is CSP,

@@ -17,17 +17,15 @@ depth-first search over an explicit stack of untried moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, runner_classes, skew_quotient
 from .schur import _integer_det, count_ssyt
 from .shapes import SkewShape, partition_from_beta
 
 
-@dataclass(frozen=True)
-class BorderStripTableau:
+class BorderStripTableau(NamedTuple):
     """Strips listed by label 1..m (label m is removed first); ``strips[i]``
     is the frozen cell set of label i + 1 and ``heights[i]`` its height."""
 
@@ -43,8 +41,7 @@ class BorderStripTableau:
         return sum(self.heights)
 
 
-@dataclass(frozen=True)
-class SkewCharValue:
+class SkewCharValue(NamedTuple):
     """value = epsilon * bst_count, with epsilon = 0 iff there are no tableaux."""
 
     value: int

@@ -9,7 +9,7 @@ Jacobi-Trudi index matrix with its runner classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abacus import runner_classes, skew_quotient
 from .analysis import analyze, analyze_shifted
@@ -18,8 +18,7 @@ from .schur import jt_matrix
 from .shapes import SkewShape
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

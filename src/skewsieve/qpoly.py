@@ -21,22 +21,24 @@ the Jacobi-Trudi determinant, are computed as such values and unpacked.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
+from typing import Iterable, NamedTuple
+
+from ._value import Value
 
 
-@dataclass(frozen=True, slots=True)
-class QPoly:
+class QPoly(Value):
     """Dense integer polynomial in q; the zero polynomial has no coefficients.
 
     The constructor accepts any iterable of integers and drops trailing
     zeros."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[int] = ()):
+        coeffs = tuple(int(c) for c in coeffs)
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
@@ -163,8 +165,7 @@ class Verdict(enum.Enum):
     CSP = "csp"
 
 
-@dataclass(frozen=True)
-class CspDecomposition:
+class CspDecomposition(NamedTuple):
     """Divisor-basis coordinates of a polynomial modulo q^m - 1.
 
     ``coefficients`` maps each divisor d of m to the coefficient of B_d;

@@ -7,25 +7,30 @@ independent check.  Both the polynomial and the filling count come from
 one integer determinant, fraction-free (Bareiss) elimination in O(l^3)
 operations: at q = 1 for the count, and at q = 2^(8w) for the polynomial,
 whose coefficients are then read off as base-2^(8w) digits (Kronecker
-substitution); the fold mod q^m - 1 is taken last.
+substitution).  The fold mod q^m - 1 is taken last, on that integer, as
+its remainder modulo 2^(8wm) - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .qpoly import QPoly, _digits, _q_binomial_at, reduce_mod
+from ._value import Value
+from .qpoly import QPoly, _digits, _q_binomial_at
 from .shapes import SkewShape
 
 
-@dataclass(frozen=True)
-class JTMatrix:
-    """The integer index matrix feeding the Jacobi-Trudi determinant."""
+class JTMatrix(Value):
+    """The integer index matrix feeding the Jacobi-Trudi determinant;
+    ``m[i, j]`` is the entry in row i, column j (0-based)."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "entries")
+    _fields = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -70,11 +75,19 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     The Jacobi-Trudi determinant is taken over the integers at q = 2^(8w)
     (Kronecker substitution).  Its coefficients are nonnegative and sum to
     count_ssyt(shape, k), so with w bytes enough to hold that count they
-    are the base-2^(8w) digits of the determinant.  With ``mod`` set the
-    result is reduced modulo q^mod - 1.
+    are the base-2^(8w) digits of the determinant.
+
+    With ``mod`` set the result is reduced modulo q^mod - 1, and the fold
+    is one integer remainder: with X = 2^(8w), the determinant modulo
+    X^mod - 1 is the sum of F_j X^j over the folded coefficients F_j,
+    because X^mod = 1 there and those F_j are nonnegative with sum
+    below X - 1, so that sum is already the least residue.  Its at most
+    ``mod`` digits are the folded coefficients.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mod is not None and mod < 1:
+        raise ValueError("modulus must be positive")
     count = count_ssyt(shape, k)
     w = count.bit_length() // 8 + 1
     rows = [
@@ -82,13 +95,14 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
         for row in jt_matrix(shape).entries
     ]
     det = _integer_det(rows)
+    if det >= 0 and mod is not None:
+        det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
         raise RuntimeError(
             f"the digits of the determinant at q = 2^{8 * w} do not sum to "
             f"{count} for {shape}, k={k}; this indicates a bug in this library"
         )
-    poly = QPoly(coeffs)
-    return poly if mod is None else reduce_mod(poly, mod)
+    return QPoly(coeffs)
 
 
 def _cell_plan(shape: SkewShape) -> list[tuple[tuple[int, int], int, int]]:

@@ -11,18 +11,20 @@ shape is ``"OUTER/INNER"``, e.g. ``"9,9,6,6,6,4,1/2,1,1,1"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from ._value import Value
 
-def _parse_parts(text: str, kind: str) -> list[int]:
-    """Comma-separated runs of ASCII digits, spaces allowed around each;
-    "" gives [].  A bad piece is named by its offset in the stripped text."""
-    text = text.strip()
-    if not text:
+
+def _parse_parts(text: str, kind: str, lo: int = 0, hi: int | None = None) -> list[int]:
+    """Comma-separated runs of ASCII digits in text[lo:hi], spaces allowed
+    around each; a blank span gives [].  A bad piece is named by its
+    offset in text, which the message quotes whole."""
+    span = text[lo:hi]
+    if not span.strip():
         return []
-    parts, pos = [], 0
-    for chunk in text.split(","):
+    parts, pos = [], lo
+    for chunk in span.split(","):
         piece = chunk.strip()
         if not (piece.isascii() and piece.isdigit()):
             raise ValueError(f"invalid {kind} at position {pos}: {text!r}")
@@ -31,18 +33,27 @@ def _parse_parts(text: str, kind: str) -> list[int]:
     return parts
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+def _partition_in(text: str, lo: int = 0, hi: int | None = None) -> "Partition":
+    """The partition written in text[lo:hi]; see ``_parse_parts``."""
+    parts = _parse_parts(text, "partition", lo, hi)
+    try:
+        return Partition(parts)
+    except ValueError as exc:
+        raise ValueError(f"invalid partition {text[lo:hi].strip()!r}: {exc}") from exc
+
+
+class Partition(Value):
     """A weakly decreasing tuple of nonnegative integers (a Young diagram).
 
     Trailing zeros are accepted on input and stripped in the canonical
     form; equality and hashing use the canonical form.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: Iterable[int] = ()):
+        parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 0:
                 raise ValueError(f"negative part {p} at index {i}")
@@ -56,11 +67,7 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse comma-separated parts; "" and "0" give the empty partition."""
-        parts = _parse_parts(text, "partition")
-        try:
-            return cls(parts)
-        except ValueError as exc:
-            raise ValueError(f"invalid partition {text.strip()!r}: {exc}") from exc
+        return _partition_in(text.strip())
 
     @property
     def length(self) -> int:
@@ -121,21 +128,21 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
     return Partition(b - (r - 1 - i) for i, b in enumerate(beta))
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+class Composition(Value):
     """A finite sequence of nonnegative integers, not necessarily sorted."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: Iterable[int] = ()):
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError("composition parts must be nonnegative")
         object.__setattr__(self, "parts", parts)
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        return cls(_parse_parts(text, "composition"))
+        return cls(_parse_parts(text.strip(), "composition"))
 
     @property
     def size(self) -> int:
@@ -148,37 +155,40 @@ class Composition:
         return len(self.parts)
 
 
-@dataclass(frozen=True, slots=True)
-class SkewShape:
+class SkewShape(Value):
     """An outer partition with an inner partition contained in it.
 
-    The inner partition is kept zero-padded to the outer length so index
-    formulas stay total.  Cells are 1-based (row, column) pairs.
+    The inner partition is also kept zero-padded to the outer length, as
+    ``inner_padded``, so index formulas stay total.  Cells are 1-based
+    (row, column) pairs.
     """
 
-    outer: Partition
-    inner: Partition = Partition()
-    inner_padded: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("outer", "inner", "inner_padded")
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        outer, inner = self.outer, self.inner
+    def __init__(self, outer: Partition, inner: Partition = Partition()):
         if not isinstance(outer, Partition) or not isinstance(inner, Partition):
             raise TypeError("SkewShape expects Partition arguments")
         if not outer.contains(inner):
             raise ValueError(f"{outer} does not contain {inner}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
         object.__setattr__(
             self, "inner_padded", tuple(inner.part(i) for i in range(outer.length))
         )
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
-        """Parse "OUTER/INNER" or plain "OUTER" (straight shape)."""
-        if text.count("/") > 1:
-            raise ValueError(f"invalid shape at position {text.index('/', text.index('/') + 1)}: {text!r}")
-        if "/" in text:
-            left, right = text.split("/")
-            return cls(Partition.parse(left), Partition.parse(right))
-        return cls(Partition.parse(text))
+        """Parse "OUTER/INNER" or plain "OUTER" (straight shape).  Error
+        positions count from the start of the whole (stripped) text."""
+        text = text.strip()
+        slash = text.find("/")
+        if slash < 0:
+            return cls(_partition_in(text))
+        extra = text.find("/", slash + 1)
+        if extra >= 0:
+            raise ValueError(f"invalid shape at position {extra}: {text!r}")
+        return cls(_partition_in(text, 0, slash), _partition_in(text, slash + 1))
 
     @property
     def size(self) -> int:

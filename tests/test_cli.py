@@ -1,8 +1,12 @@
-import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewsieve
 import skewsieve.checks as checks
 from skewsieve.cli import run
 
@@ -176,8 +180,8 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
         if m != 9:
             return report
         dec = report.decomposition
-        wrong = dataclasses.replace(dec, coefficients={**dec.coefficients, 1: 2})
-        return dataclasses.replace(report, decomposition=wrong)
+        wrong = dec._replace(coefficients={**dec.coefficients, 1: 2})
+        return report._replace(decomposition=wrong)
 
     monkeypatch.setattr(checks, "analyze", off_by_one_at_mod_9)
     code, out, err = invoke(capsys, ["verify"])
@@ -261,6 +265,32 @@ def test_shape_parse_error_reports_position(capsys):
             run(argv)
         assert exc.value.code == 2
         assert "position" in capsys.readouterr().err
+    # offsets count from the start of the whole OUTER/INNER text
+    for argv, message in (
+        (["specialize", "--shape", "3,2/x", "--vars", "2"], "invalid partition at position 4: '3,2/x'"),
+        (["analyze", "--shape", "3,2/1, x", "--vars", "2", "--mod", "2"], "invalid partition at position 6: '3,2/1, x'"),
+        (["bst", "--shape", "3,2/1/1", "--order", "2"], "invalid shape at position 5: '3,2/1/1'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --shape: {message}\n")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both cost milliseconds of start-up in every fresh process
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); import skewsieve.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_domain_errors_exit_1(capsys):

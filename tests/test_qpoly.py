@@ -61,6 +61,10 @@ def test_qpoly_is_a_frozen_value():
         f.coeffs = ()
     with pytest.raises(AttributeError):
         del f.coeffs
+    with pytest.raises(AttributeError):
+        f.foo = 1
+    with pytest.raises(AttributeError):
+        del f.foo
 
 
 def test_qpoly_text():

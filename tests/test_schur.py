@@ -39,6 +39,10 @@ def test_jt_matrix_example():
         (-5, -1, 0, 1, 6),
     )
     assert m[0, 4] == 17 and m[4, 0] == -5
+    assert m == jt_matrix(SkewShape.parse("13,10,10,10,6/7,4,4,4")) and hash(m) == hash(jt_matrix(shape))
+    assert repr(jt_matrix(SkewShape.parse("2"))) == "JTMatrix(n=1, entries=((2,),))"
+    with pytest.raises(AttributeError):
+        m.n = 4
 
 
 def test_jt_matrix_of_equal_shapes():
@@ -69,6 +73,9 @@ def test_principal_specialization_basics():
     assert principal_specialization(SkewShape(lam, lam), 5) == QPoly.one()
     with pytest.raises(ValueError):
         principal_specialization(SkewShape.parse("1"), 0)
+    for mod in (0, -1):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            principal_specialization(SkewShape.parse("2,1/1"), 2, mod=mod)
 
 
 def test_single_row_equals_gaussian_binomial():
@@ -120,6 +127,24 @@ def test_specialization_matches_enumeration_property(shape, k, m):
     poly = principal_specialization(shape, k)
     assert poly == ssyt_generating_function(shape, k)
     assert principal_specialization(shape, k, mod=m) == reduce_mod(poly, m)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([p for p in partitions_up_to(12) if sum(p) > 8]), st.data())
+def test_root_value_matches_the_folded_specialization(lam, data):
+    # moduli up to 12, beyond the enumeration property's 6
+    mu = data.draw(st.sampled_from(list(subpartitions(lam))))
+    shape = SkewShape(Partition(lam), Partition(mu))
+    n_vars = data.draw(st.integers(1, 12))
+    d = data.draw(st.sampled_from([d for d in range(1, n_vars + 1) if n_vars % d == 0]))
+    poly = principal_specialization(shape, n_vars, mod=d)
+    assert eval_at_root(shape, n_vars, d) == eval_at_primitive_root(poly, d, 1)
+
+
+@settings(max_examples=150)
+@given(small_skew_shapes(), st.integers(1, 4))
+def test_count_ssyt_counts_the_fillings(shape, k):
+    assert count_ssyt(shape, k) == sum(1 for _ in _fillings(shape, k))
 
 
 def test_reduced_path_matches_full_reduction():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -226,5 +228,12 @@ def test_value_types_are_frozen_and_compare_by_value():
             setattr(obj, name, ())
         with pytest.raises(AttributeError):
             delattr(obj, name)
+    for obj in (lam, nu, shape):
+        with pytest.raises(AttributeError):
+            obj.foo = 1
+        with pytest.raises(AttributeError):
+            del obj.foo
+        assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
+    assert copy.copy(shape).inner_padded == (1, 0)
     with pytest.raises(TypeError):
         SkewShape((3, 1), (1,))
