@@ -16,7 +16,6 @@ from .qpoly import (
     QPoly,
     Verdict,
     a_coefficient,
-    basis_element,
     csp_decompose,
     divisors,
     eval_at_primitive_root,
@@ -57,7 +56,6 @@ from .analysis import (
     CspReport,
     analyze,
     analyze_shifted,
-    verify_qbinomial_reduction_identity,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "a_coefficient",
     "analyze",
     "analyze_shifted",
-    "basis_element",
     "border_strip_shape",
     "core",
     "count_ssyt",
@@ -107,5 +104,4 @@ __all__ = [
     "skew_char_rect",
     "skew_quotient",
     "ssyt_generating_function",
-    "verify_qbinomial_reduction_identity",
 ]

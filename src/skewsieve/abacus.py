@@ -8,7 +8,9 @@ same as sliding one bead down its runner by a single row, which is how
 every strip-removal computation here works; diagrams never enter into it.
 
 For skew computations the bead count r is always the outer length, so the
-two displays stay aligned.
+two displays stay aligned.  One pass over both, runner by runner, feeds the
+quotient, the runner classes, the matching permutation and the
+quotient-theorem counts in ``characters``.
 """
 
 from __future__ import annotations
@@ -96,27 +98,43 @@ def core(lam: Partition, d: int) -> Partition:
     return partition_from_beta(packed)
 
 
+def _runners(shape: SkewShape, d: int) -> tuple[list[list[int]], ...]:
+    """One pass over both displays (r = outer length).  Four lists by
+    runner: the outer and the inner bead rows, each decreasing, then the
+    rows of the shape (0-based) whose outer and whose inner bead is there."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    l = shape.outer.length
+    runners = tuple([[] for _ in range(d)] for _ in range(4))
+    outer_rows, inner_rows, outer_at, inner_at = runners
+    for i, (p, q) in enumerate(zip(shape.outer.parts, shape.inner_padded)):
+        row, t = divmod(p + l - 1 - i, d)
+        outer_rows[t].append(row)
+        outer_at[t].append(i)
+        row, t = divmod(q + l - 1 - i, d)
+        inner_rows[t].append(row)
+        inner_at[t].append(i)
+    return runners
+
+
+def _nested(outer_rows: list[list[int]], inner_rows: list[list[int]]) -> bool:
+    """True iff the quotient exists: every runner carries as many inner as
+    outer beads, the k-th inner one no lower than the k-th outer one."""
+    return all(len(a) == len(b) and all(x >= y for x, y in zip(a, b))
+               for a, b in zip(outer_rows, inner_rows))
+
+
 def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:
     """Quotient of outer and inner together, both with r = outer length.
 
     Exists only if each runner carries the same number of beads in both
     displays (equal d-cores) and the component shapes nest.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    r = shape.outer.length
-    outer_rows = _runner_rows(shape.outer.beta_set(r), d)
-    inner_rows = _runner_rows(shape.inner.beta_set(r), d)
-    if any(len(a) != len(b) for a, b in zip(outer_rows, inner_rows)):
+    outer_rows, inner_rows, _, _ = _runners(shape, d)
+    if not _nested(outer_rows, inner_rows):
         return SkewQuotient(False, None)
-    components = []
-    for a, b in zip(outer_rows, inner_rows):
-        outer_part = partition_from_beta(a)
-        inner_part = partition_from_beta(b)
-        if not outer_part.contains(inner_part):
-            return SkewQuotient(False, None)
-        components.append(SkewShape(outer_part, inner_part))
-    return SkewQuotient(True, tuple(components))
+    return SkewQuotient(True, tuple(SkewShape(partition_from_beta(a), partition_from_beta(b))
+                                    for a, b in zip(outer_rows, inner_rows)))
 
 
 def runner_classes(
@@ -127,16 +145,10 @@ def runner_classes(
     ``which`` selects whether the outer ("lambda") or inner ("mu") beta
     values place the beads.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _, _, outer_at, inner_at = _runners(shape, d)
     if which not in ("lambda", "mu"):
         raise ValueError("which must be 'lambda' or 'mu'")
-    l = shape.outer.length
-    values = shape.outer.parts if which == "lambda" else shape.inner_padded
-    classes: list[list[int]] = [[] for _ in range(d)]
-    for i in range(1, l + 1):
-        classes[(values[i - 1] + l - i) % d].append(i)
-    return tuple(tuple(c) for c in classes)
+    return tuple(tuple(i + 1 for i in c) for c in (outer_at if which == "lambda" else inner_at))
 
 
 def _legal_moves(
@@ -178,8 +190,8 @@ def remove_strip_moves(
     r defaults to the length of ``lam``.  Raises if no removal sequence
     from ``lam`` down to ``target_mu`` can exist at all.
     """
-    shape = SkewShape(lam, target_mu)
-    if not skew_quotient(shape, d).exists:
+    outer_rows, inner_rows, _, _ = _runners(SkewShape(lam, target_mu), d)
+    if not _nested(outer_rows, inner_rows):
         raise ValueError("no removal sequence")
     if r is None:
         r = lam.length

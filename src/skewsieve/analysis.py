@@ -16,7 +16,6 @@ from .qpoly import (
     CspDecomposition,
     Verdict,
     csp_decompose,
-    gaussian_binomial,
     reduce_mod,
 )
 from .schur import principal_specialization
@@ -78,15 +77,3 @@ def analyze_shifted(shape: SkewShape, k: int, m: int, shift: int) -> CspDecompos
     poly = principal_specialization(shape, k, mod=m)
     return csp_decompose(reduce_mod(poly.shift(shift), m), m)
 
-
-def verify_qbinomial_reduction_identity(n: int, k: int, m: int) -> bool:
-    """Check that, modulo q^m - 1 with m dividing n, the n-multiset counter
-    on k values folds to the sum over j < k of j-multiset counters on n
-    values.  Returns False only on a genuine inequality."""
-    if n < 1 or k < 1 or m < 1 or n % m != 0:
-        raise ValueError("need n, k, m >= 1 with m dividing n")
-    lhs = reduce_mod(gaussian_binomial(n, k), m)
-    total = gaussian_binomial(0, n)
-    for j in range(1, k):
-        total = total + gaussian_binomial(j, n)
-    return lhs == reduce_mod(total, m)

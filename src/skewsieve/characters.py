@@ -6,13 +6,16 @@ numbered in descending order of removal.  Character values never need the
 tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
 times Aitken determinants for their standard fillings) and the sign from
-the residue-class matching permutation.  Only arbitrary types and the
-explicit tableau listing walk the reachable bead configurations, and those
-two walks are the independent oracles for the closed form.  Both are
-loops, so the number of strips is not bounded by the recursion limit: the
-arbitrary-type count is a forward pass holding one signed count per
-configuration for the current and the next strip, and the listing is a
-depth-first search over an explicit stack of untried moves.
+the residue-class matching permutation.  Both, and the root-of-unity
+values, are read from the bead rows of each runner, which are the
+components' beta-sets, so no component shape is built.  Only arbitrary
+types and the explicit tableau listing walk the reachable bead
+configurations, and those two walks are the independent oracles for the
+closed form.  Both are loops, so the number of strips is not bounded by
+the recursion limit: the arbitrary-type count is a forward pass holding
+one signed count per configuration for the current and the next strip,
+and the listing is a depth-first search over an explicit stack of untried
+moves.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .abacus import _legal_moves, runner_classes, skew_quotient
-from .schur import _integer_det, count_ssyt
+from .abacus import _legal_moves, _nested, _runners
+from .schur import _integer_det, _jt_count
 from .shapes import SkewShape, partition_from_beta
 
 
@@ -102,20 +105,13 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
             stack.append((new, iter(_legal_moves(new, d, target))))
 
 
-def _standard_count(shape: SkewShape) -> int:
-    """Number of standard fillings f, by Aitken's determinant
-    f = N! det[1 / (outer_i - inner_j - i + j)!].
-
-    With a_i = outer_i - i + l and b_j = inner_j - j + l the entry is
-    1 / (a_i - b_j)!, so scaling row i by a_i! and column j by 1 / b_j!
-    turns the matrix into the binomials C(a_i, b_j).  Binomials keep the
-    elimination's intermediate minors far smaller than factorials would.
-    """
-    l = shape.outer.length
-    tops = [p - i + l for i, p in enumerate(shape.outer.parts)]
-    bottoms = [p - j + l for j, p in enumerate(shape.inner_padded)]
+def _standard_count(tops: list[int], bottoms: list[int], size: int) -> int:
+    """Standard fillings f of the ``size``-cell skew shape whose outer and
+    inner beta-sets, of one length, are ``tops`` and ``bottoms``: Aitken's
+    f = N! det[1 / (a_i - b_j)!], row i scaled by a_i! and column j by
+    1 / b_j! into binomials C(a_i, b_j), whose minors stay far smaller."""
     det = _integer_det([[comb(a, b) for b in bottoms] for a in tops])
-    num = factorial(shape.size) * det * prod(map(factorial, bottoms))
+    num = factorial(size) * det * prod(map(factorial, bottoms))
     return num // prod(map(factorial, tops))
 
 
@@ -126,20 +122,22 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     multinomial of the d-quotient component sizes times each component's
     number of standard fillings, and they all share the sign of the
     residue-class matching permutation; without a quotient there are none.
-    Polynomial in the number of rows: no bead configuration is visited.
+    Components are read as bead rows, runner by runner: polynomial in the
+    number of rows, and no bead configuration is visited.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if shape.size % d != 0:
         raise ValueError("size mismatch: strip size must divide the shape size")
-    sq = skew_quotient(shape, d)
-    if not sq.exists:
+    outer_rows, inner_rows, outer_at, inner_at = _runners(shape, d)
+    if not _nested(outer_rows, inner_rows):
         return SkewCharValue(0, 0, 0)
     count, placed = 1, 0
-    for component in sq.components:
-        placed += component.size
-        count *= comb(placed, component.size) * _standard_count(component)
-    sign = permutation_sign(perm(shape, d))
+    for a, b in zip(outer_rows, inner_rows):
+        size = sum(a) - sum(b)
+        placed += size
+        count *= comb(placed, size) * _standard_count(a, b, size)
+    sign = permutation_sign(_matching(outer_at, inner_at, shape.outer.length))
     return SkewCharValue(sign * count, count, sign)
 
 
@@ -169,6 +167,18 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     return counts.get(target, 0)
 
 
+def _matching(outer_at: list[list[int]], inner_at: list[list[int]], l: int) -> tuple[int, ...]:
+    """The one-line form pairing, runner by runner, the rows whose outer
+    beads and the rows whose inner beads sit there, in increasing order."""
+    image = [0] * l
+    for a, b in zip(outer_at, inner_at):
+        if len(a) != len(b):
+            raise ValueError("cores differ")
+        for src, dst in zip(a, b):
+            image[src] = dst + 1
+    return tuple(image)
+
+
 def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
     """Match rows of the outer and inner displays within each residue class.
 
@@ -177,13 +187,7 @@ def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
     enumerations of matching classes are paired off.  The result is the
     one-line form (image of 1, image of 2, ...).
     """
-    image = [0] * shape.outer.length
-    for a, b in zip(runner_classes(shape, d, "lambda"), runner_classes(shape, d, "mu")):
-        if len(a) != len(b):
-            raise ValueError("cores differ")
-        for src, dst in zip(a, b):
-            image[src - 1] = dst
-    return tuple(image)
+    return _matching(*_runners(shape, d)[2:], shape.outer.length)
 
 
 def permutation_sign(pi: tuple[int, ...]) -> int:
@@ -218,15 +222,15 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
         raise ValueError("n_vars and d must be >= 1")
     if n_vars % d != 0:
         raise ValueError("d must divide the number of variables")
-    sq = skew_quotient(shape, d)
-    if not sq.exists:
+    outer_rows, inner_rows, outer_at, inner_at = _runners(shape, d)
+    if not _nested(outer_rows, inner_rows):
         return 0
     if shape.size % d != 0:
         raise RuntimeError("a quotient exists but d does not divide the size")
-    sign = permutation_sign(perm(shape, d))
+    sign = permutation_sign(_matching(outer_at, inner_at, shape.outer.length))
     product = 1
-    for component in sq.components:
-        product *= count_ssyt(component, n_vars // d)
+    for a, b in zip(outer_rows, inner_rows):
+        product *= _jt_count(a, b, n_vars // d)
     return sign * product
 
 

@@ -84,17 +84,6 @@ class QPoly(Value):
             return self
         return QPoly((0,) * e + self.coeffs)
 
-    def substitute_power(self, s: int) -> "QPoly":
-        """Replace q by q^s (s >= 1)."""
-        if s < 1:
-            raise ValueError("power must be >= 1")
-        if self.is_zero or s == 1:
-            return self
-        out = [0] * (s * (len(self.coeffs) - 1) + 1)
-        for e, c in enumerate(self.coeffs):
-            out[s * e] = c
-        return QPoly(out)
-
     def __add__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -213,17 +202,6 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-def basis_element(m: int, d: int) -> QPoly:
-    """B_d = (q^m - 1)/(q^(m/d) - 1), with support {i*m/d : 0 <= i < d}."""
-    if m < 1 or m % d != 0:
-        raise ValueError("d must divide m")
-    step = m // d
-    out = [0] * ((d - 1) * step + 1)
-    for i in range(d):
-        out[i * step] = 1
-    return QPoly(out)
 
 
 def reduce_mod(f: QPoly, m: int) -> QPoly:

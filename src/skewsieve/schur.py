@@ -161,6 +161,14 @@ def ssyt_generating_function(shape: SkewShape, k: int) -> QPoly:
     return QPoly(coeffs)
 
 
+def _jt_count(tops: list[int], bottoms: list[int], k: int) -> int:
+    """count_ssyt of the skew shape whose outer and inner beta-sets, of one
+    length, are ``tops`` and ``bottoms``: the Jacobi-Trudi entry
+    h_(outer_i - inner_j - i + j) is h_(a_i - b_j), at q = 1 C(a_i - b_j + k - 1, k - 1)."""
+    return _integer_det([[comb(a - b + k - 1, k - 1) if a >= b else 0 for b in bottoms]
+                         for a in tops])
+
+
 def count_ssyt(shape: SkewShape, k: int) -> int:
     """Number of semistandard fillings with entries <= k.
 
@@ -169,8 +177,5 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = jt_matrix(shape)
-    rows = [
-        [comb(e + k - 1, k - 1) if e >= 0 else 0 for e in row] for row in m.entries
-    ]
-    return _integer_det(rows)
+    l = shape.outer.length
+    return _jt_count(shape.outer.beta_set(l), shape.inner.beta_set(l), k)

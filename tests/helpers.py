@@ -1,12 +1,16 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles here work directly on cell sets and diagram surgery so they
-share no code with the bead-position implementation they check.
+The shape oracles here work directly on cell sets and diagram surgery so
+they share no code with the bead-position implementation they check.  The
+polynomial helpers at the end (the divisor basis, q -> q^s and the
+q-binomial fold identity) build on ``QPoly`` only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from skewsieve.qpoly import QPoly, gaussian_binomial, reduce_mod
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -245,3 +249,39 @@ def complex_root_value(coeffs, m: int, j: int) -> complex:
     for e, c in enumerate(coeffs):
         total += c * w**e
     return total
+
+
+def substitute_power(f: QPoly, s: int) -> QPoly:
+    """Replace q by q^s (s >= 1)."""
+    if s < 1:
+        raise ValueError("power must be >= 1")
+    if f.is_zero or s == 1:
+        return f
+    out = [0] * (s * f.degree + 1)
+    for e, c in enumerate(f.coeffs):
+        out[s * e] = c
+    return QPoly(out)
+
+
+def basis_element(m: int, d: int) -> QPoly:
+    """B_d = (q^m - 1)/(q^(m/d) - 1), with support {i*m/d : 0 <= i < d}."""
+    if m < 1 or m % d != 0:
+        raise ValueError("d must divide m")
+    step = m // d
+    out = [0] * ((d - 1) * step + 1)
+    for i in range(d):
+        out[i * step] = 1
+    return QPoly(out)
+
+
+def verify_qbinomial_reduction_identity(n: int, k: int, m: int) -> bool:
+    """Check that, modulo q^m - 1 with m dividing n, the n-multiset counter
+    on k values folds to the sum over j < k of j-multiset counters on n
+    values.  Returns False only on a genuine inequality."""
+    if n < 1 or k < 1 or m < 1 or n % m != 0:
+        raise ValueError("need n, k, m >= 1 with m dividing n")
+    lhs = reduce_mod(gaussian_binomial(n, k), m)
+    total = gaussian_binomial(0, n)
+    for j in range(1, k):
+        total = total + gaussian_binomial(j, n)
+    return lhs == reduce_mod(total, m)

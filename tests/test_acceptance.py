@@ -16,11 +16,7 @@ from pathlib import Path
 
 import skewsieve
 from skewsieve.abacus import runner_classes, skew_quotient
-from skewsieve.analysis import (
-    analyze,
-    analyze_shifted,
-    verify_qbinomial_reduction_identity,
-)
+from skewsieve.analysis import analyze, analyze_shifted
 from skewsieve.characters import (
     eval_at_root,
     kostka_foulkes_rect_at_root,
@@ -33,7 +29,6 @@ from skewsieve.characters import (
 from skewsieve.qpoly import (
     Verdict,
     a_coefficient,
-    basis_element,
     divisors,
     eval_at_primitive_root,
     gaussian_binomial,
@@ -48,11 +43,13 @@ from skewsieve.shapes import (
 )
 
 from helpers import (
+    basis_element,
     compositions_with_parts,
     partitions_in_box,
     partitions_up_to,
     subpartitions,
     subpartitions_mod,
+    verify_qbinomial_reduction_identity,
 )
 
 

@@ -2,11 +2,7 @@ import random
 
 import pytest
 
-from skewsieve.analysis import (
-    analyze,
-    analyze_shifted,
-    verify_qbinomial_reduction_identity,
-)
+from skewsieve.analysis import analyze, analyze_shifted
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
@@ -17,7 +13,12 @@ from skewsieve.qpoly import (
 from skewsieve.schur import count_ssyt, principal_specialization
 from skewsieve.shapes import Partition, SkewShape, border_strip_shape
 
-from helpers import compositions_with_parts, partitions_up_to, subpartitions
+from helpers import (
+    compositions_with_parts,
+    partitions_up_to,
+    subpartitions,
+    verify_qbinomial_reduction_identity,
+)
 
 
 def test_analyze_headline_cases():

@@ -2,6 +2,7 @@ import gc
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewsieve.abacus import _legal_moves, quotient, remove_strip_moves, skew_quotient
 from skewsieve.characters import (
@@ -213,6 +214,40 @@ def test_perm_sign_equals_character_sign_exhaustively():
                 # every tableau has the same height parity
                 assert abs(walk) == count
                 assert permutation_sign(perm(shape, d)) == (1 if walk > 0 else -1)
+
+
+PARTITIONS_BY_SIZE = {n: list(partitions_of(n)) for n in range(21)}
+
+
+@st.composite
+def rect_char_cases(draw):
+    """(λ/μ, d) with 13 <= |λ| <= 20 and 2 <= d dividing |λ/μ|: d-strips added
+    to a random μ by bead slides, so the quotient exists, or half the
+    time any μ inside the λ so reached, which mostly has none."""
+    n, d = draw(st.integers(13, 20)), draw(st.integers(2, 5))
+    strips = draw(st.integers(1, n // d))
+    mu = draw(st.sampled_from(PARTITIONS_BY_SIZE[n - strips * d]))
+    r = len(mu) + strips
+    beads = [p + r - 1 - i for i, p in enumerate(mu + (0,) * strips)]
+    for _ in range(strips):
+        bead = draw(st.sampled_from([p for p in beads if p + d not in beads]))
+        beads[beads.index(bead)] += d
+    beads.sort(reverse=True)
+    lam = tuple(b - (r - 1 - i) for i, b in enumerate(beads) if b > r - 1 - i)
+    if draw(st.booleans()):
+        mu = draw(st.sampled_from([m for m in subpartitions(lam) if (n - sum(m)) % d == 0]))
+    return SkewShape(Partition(lam), Partition(mu)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(rect_char_cases())
+def test_skew_char_rect_matches_the_walk_beyond_the_grid(case):
+    # the exhaustive grid above stops at |λ| = 12
+    shape, d = case
+    walk = skew_char(shape, (d,) * (shape.size // d))
+    value = skew_char_rect(shape, d)
+    sign = (walk > 0) - (walk < 0)
+    assert (value.value, value.bst_count, value.epsilon) == (walk, abs(walk), sign)
 
 
 def test_standard_counts_match_corner_removal():

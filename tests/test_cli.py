@@ -226,6 +226,20 @@ PINNED_STDOUT = [
         "value: -582120\nbst_count: 582120\nepsilon: -1\n",
         id="char-type",
     ),
+    pytest.param(
+        ["char", "--shape", "2,2", "--type", "4"],
+        "value: 0\nbst_count: 0\nepsilon: 0\n",
+        id="char-type-no-quotient",
+    ),
+    pytest.param(
+        ["eval-root", "--shape", SEVEN_ROWS, "--vars", "9", "--order", "3"], "-666\n", id="eval-root"
+    ),
+    pytest.param(
+        ["eval-root", "--shape", "2,2", "--vars", "4", "--order", "4"], "0\n", id="eval-root-no-quotient"
+    ),
+    pytest.param(
+        ["eval-root", "--shape", "3,2/1", "--vars", "2", "--order", "2"], "0\n", id="eval-root-long-column"
+    ),
     pytest.param(["perm", "--shape", SEVEN_ROWS, "--order", "3"], "2147356\n", id="perm"),
     pytest.param(
         ["verify"],
@@ -314,7 +328,6 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     import skewsieve.characters as characters
     import skewsieve.cli as cli
     import skewsieve.schur as schur
-    from skewsieve.abacus import SkewQuotient
 
     def broken_guarantee(*args, **kwargs):
         raise RuntimeError("guaranteed case came out pre-csp")
@@ -327,7 +340,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     assert err == "internal error: guaranteed case came out pre-csp\n"
 
     # a quotient for a size d does not divide: eval-root checks it even under -O
-    monkeypatch.setattr(characters, "skew_quotient", lambda shape, d: SkewQuotient(True, ()))
+    monkeypatch.setattr(characters, "_nested", lambda outer_rows, inner_rows: True)
     code, out, err = invoke(capsys, ["eval-root", "--shape", "1", "--vars", "2", "--order", "2"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1

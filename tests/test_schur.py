@@ -24,7 +24,7 @@ from skewsieve.schur import (
 )
 from skewsieve.shapes import Partition, SkewShape, border_strip_shape
 
-from helpers import compositions_with_parts, partitions_up_to, subpartitions
+from helpers import compositions_with_parts, partitions_up_to, subpartitions, substitute_power
 
 
 def test_jt_matrix_example():
@@ -254,9 +254,9 @@ def test_determinant_factors_through_quotient_components():
                     assert sq.exists
                     product = QPoly.one()
                     for component in sq.components:
-                        product = product * principal_specialization(
-                            component, k * d
-                        ).substitute_power(m // d)
+                        product = product * substitute_power(
+                            principal_specialization(component, k * d), m // d
+                        )
                     dec = csp_decompose(reduce_mod(product, m), m)
                     assert dec.coefficients is not None
                     for e in divisors(d):
@@ -268,7 +268,7 @@ def test_determinant_factors_through_quotient_components():
     assert sq.exists
     product = QPoly.one()
     for component in sq.components:
-        product = product * principal_specialization(component, 2).substitute_power(2)
+        product = product * substitute_power(principal_specialization(component, 2), 2)
     dec = csp_decompose(reduce_mod(product, 2), 2)
     assert dec.coefficients[1] == full.coefficients[1]
     # stretched staircases with more rows than a 2^l expansion affords: the
