@@ -34,7 +34,6 @@ from .abacus import (
     skew_quotient,
 )
 from .schur import (
-    JTMatrix,
     count_ssyt,
     jt_matrix,
     principal_specialization,
@@ -66,7 +65,6 @@ __all__ = [
     "Composition",
     "CspDecomposition",
     "CspReport",
-    "JTMatrix",
     "Partition",
     "QPoly",
     "SkewCharValue",

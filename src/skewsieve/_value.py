@@ -1,5 +1,5 @@
 """The immutable base of the value types (``Partition``, ``Composition``,
-``SkewShape``, ``QPoly`` and ``JTMatrix``).
+``SkewShape`` and ``QPoly``).
 
 A subclass declares its ``__slots__``, names its public fields in
 ``_fields`` (the arguments of its constructor, in order) and sets them

@@ -7,8 +7,12 @@ beta-sets.  Removing a border strip of size d from the diagram is the
 same as sliding one bead down its runner by a single row, which is how
 every strip-removal computation here works; diagrams never enter into it.
 
-For skew computations the bead count r is always the outer length, so the
-two displays stay aligned.  One pass over both, runner by runner, feeds the
+Every route here reads its beads through one primitive, which takes a
+beta-set from ``Partition.beta_set`` onto the runners: per runner, the bead
+rows (the beta-set of that quotient component) and the indices of the beta
+numbers there.  ``quotient`` and ``core`` read one display.  For skew
+computations the bead count r is always the outer length, so the outer
+and inner displays stay aligned; read together, they feed the skew
 quotient, the runner classes, the matching permutation and the
 quotient-theorem counts in ``characters``.
 """
@@ -68,12 +72,17 @@ def display(lam: Partition, d: int, r: int) -> AbacusDisplay:
     return AbacusDisplay(d, r, lam.beta_set(r))
 
 
-def _runner_rows(beta: tuple[int, ...], d: int) -> list[list[int]]:
-    """Bead row indices per runner, each list sorted increasing."""
+def _on_runners(beta: tuple[int, ...], d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A strictly decreasing beta-set read onto d runners.  Two lists by
+    runner: the rows of the beads there (decreasing) and their indices in
+    ``beta`` (increasing)."""
     rows: list[list[int]] = [[] for _ in range(d)]
-    for p in sorted(beta):
-        rows[p % d].append(p // d)
-    return rows
+    at: list[list[int]] = [[] for _ in range(d)]
+    for i, p in enumerate(beta):
+        row, t = divmod(p, d)
+        rows[t].append(row)
+        at[t].append(i)
+    return rows, at
 
 
 def quotient(lam: Partition, d: int, r: int) -> tuple[Partition, ...]:
@@ -84,7 +93,7 @@ def quotient(lam: Partition, d: int, r: int) -> tuple[Partition, ...]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    rows = _runner_rows(lam.beta_set(r), d)
+    rows, _ = _on_runners(lam.beta_set(r), d)
     return tuple(partition_from_beta(rs) for rs in rows)
 
 
@@ -93,28 +102,21 @@ def core(lam: Partition, d: int) -> Partition:
     if d < 1:
         raise ValueError("d must be >= 1")
     r = max(lam.length, 1)
-    rows = _runner_rows(lam.beta_set(r), d)
+    rows, _ = _on_runners(lam.beta_set(r), d)
     packed = [t + d * j for t, rs in enumerate(rows) for j in range(len(rs))]
     return partition_from_beta(packed)
 
 
 def _runners(shape: SkewShape, d: int) -> tuple[list[list[int]], ...]:
-    """One pass over both displays (r = outer length).  Four lists by
-    runner: the outer and the inner bead rows, each decreasing, then the
+    """Both displays (r = outer length) read onto the runners.  Four lists
+    by runner: the outer and the inner bead rows, each decreasing, then the
     rows of the shape (0-based) whose outer and whose inner bead is there."""
     if d < 1:
         raise ValueError("d must be >= 1")
     l = shape.outer.length
-    runners = tuple([[] for _ in range(d)] for _ in range(4))
-    outer_rows, inner_rows, outer_at, inner_at = runners
-    for i, (p, q) in enumerate(zip(shape.outer.parts, shape.inner_padded)):
-        row, t = divmod(p + l - 1 - i, d)
-        outer_rows[t].append(row)
-        outer_at[t].append(i)
-        row, t = divmod(q + l - 1 - i, d)
-        inner_rows[t].append(row)
-        inner_at[t].append(i)
-    return runners
+    outer_rows, outer_at = _on_runners(shape.outer.beta_set(l), d)
+    inner_rows, inner_at = _on_runners(shape.inner.beta_set(l), d)
+    return outer_rows, inner_rows, outer_at, inner_at
 
 
 def _nested(outer_rows: list[list[int]], inner_rows: list[list[int]]) -> bool:

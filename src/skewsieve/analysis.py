@@ -72,6 +72,8 @@ def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
 
 def analyze_shifted(shape: SkewShape, k: int, m: int, shift: int) -> CspDecomposition:
     """Decompose q^shift times the specialization, modulo q^m - 1."""
+    if k < 1 or m < 1:
+        raise ValueError("k and m must be >= 1")
     if not 0 <= shift < m:
         raise ValueError("shift must satisfy 0 <= shift < m")
     poly = principal_specialization(shape, k, mod=m)

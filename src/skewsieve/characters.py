@@ -69,12 +69,13 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     """All border-strip tableaux of type (d^m), m = size / d.
 
     Yields nothing when d does not divide the size or no removal sequence
-    reaches the inner shape.  Deterministic: at every stage the moves are
-    tried by decreasing bead position.
+    reaches the inner shape.  Without a d-quotient there is none (the
+    quotient theorem), so nothing is walked.  Deterministic: at every
+    stage the moves are tried by decreasing bead position.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if shape.size % d != 0:
+    if shape.size % d != 0 or not _nested(*_runners(shape, d)[:2]):
         return
     r = shape.outer.length
     start = shape.outer.beta_set(r)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from math import comb, gcd
+from operator import index
 from typing import Iterable, NamedTuple
 
 from ._value import Value
@@ -32,13 +33,13 @@ class QPoly(Value):
     """Dense integer polynomial in q; the zero polynomial has no coefficients.
 
     The constructor accepts any iterable of integers and drops trailing
-    zeros."""
+    zeros; a float or a string is a ``TypeError``."""
 
     __slots__ = ("coeffs",)
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
@@ -164,11 +165,6 @@ class CspDecomposition(NamedTuple):
     m: int
     verdict: Verdict
     coefficients: dict[int, int] | None
-
-    def a(self, d: int) -> int:
-        if self.coefficients is None:
-            raise ValueError("no divisor-basis decomposition")
-        return self.coefficients[d]
 
 
 def divisors(n: int) -> list[int]:

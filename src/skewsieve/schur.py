@@ -1,9 +1,12 @@
 """Principal specializations of skew Schur polynomials.
 
-The primary route is the Jacobi-Trudi determinant whose (i, j) entry is
-the q-binomial for outer_i - inner_j + j - i; the brute-force route steps
-through every semistandard filling in lexicographic order and is kept as an
-independent check.  Both the polynomial and the filling count come from
+The primary route is the Jacobi-Trudi determinant det[h_(a_i - b_j)]
+over the outer and inner beta-sets a and b at the outer length
+(a_i - b_j = outer_i - inner_j + j - i).  One builder serves the
+polynomial, where h is a q-binomial, and the filling counts of
+``count_ssyt`` and ``characters.eval_at_root``.  The brute-force route
+steps through every semistandard filling in lexicographic order and is
+kept as an independent check.  Both the polynomial and the filling count come from
 one integer determinant, fraction-free (Bareiss) elimination in O(l^3)
 operations: at q = 1 for the count, and at q = 2^(8w) for the polynomial,
 whose coefficients are then read off as base-2^(8w) digits (Kronecker
@@ -14,38 +17,19 @@ its remainder modulo 2^(8wm) - 1.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from ._value import Value
 from .qpoly import QPoly, _digits, _q_binomial_at
 from .shapes import SkewShape
 
 
-class JTMatrix(Value):
-    """The integer index matrix feeding the Jacobi-Trudi determinant;
-    ``m[i, j]`` is the entry in row i, column j (0-based)."""
-
-    __slots__ = ("n", "entries")
-    _fields = ("n", "entries")
-
-    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i][j]
-
-
-def jt_matrix(shape: SkewShape) -> JTMatrix:
-    """Entry (i, j) is outer_i - inner_j + j - i, inner zero-padded."""
+def jt_matrix(shape: SkewShape) -> tuple[tuple[int, ...], ...]:
+    """The Jacobi-Trudi index matrix as row tuples: entry (i, j) is
+    a_i - b_j = outer_i - inner_j + j - i, over the beta-sets at the
+    outer length."""
     l = shape.outer.length
-    outer = shape.outer.parts
-    inner = shape.inner_padded
-    rows = tuple(
-        tuple(outer[i] - inner[j] + j - i for j in range(l)) for i in range(l)
-    )
-    return JTMatrix(l, rows)
+    bottoms = shape.inner.beta_set(l)
+    return tuple(tuple(a - b for b in bottoms) for a in shape.outer.beta_set(l))
 
 
 def _integer_det(rows: list[list[int]]) -> int:
@@ -69,6 +53,13 @@ def _integer_det(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1] if n else 1
 
 
+def _jt_det(tops: Sequence[int], bottoms: Sequence[int], h: Callable[[int], int]) -> int:
+    """det[h(a_i - b_j)] over the outer and inner beta-sets ``tops`` and
+    ``bottoms`` of one length, with h taken as 0 below 0: the Jacobi-Trudi
+    determinant with complete homogeneous values h."""
+    return _integer_det([[h(a - b) if a >= b else 0 for b in bottoms] for a in tops])
+
+
 def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -> QPoly:
     """The skew Schur polynomial at x_i = q^(i-1) for i = 1..k.
 
@@ -90,11 +81,9 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
         raise ValueError("modulus must be positive")
     count = count_ssyt(shape, k)
     w = count.bit_length() // 8 + 1
-    rows = [
-        [_q_binomial_at(e, k, w) if e >= 0 else 0 for e in row]
-        for row in jt_matrix(shape).entries
-    ]
-    det = _integer_det(rows)
+    l = shape.outer.length
+    det = _jt_det(shape.outer.beta_set(l), shape.inner.beta_set(l),
+                  lambda e: _q_binomial_at(e, k, w))
     if det >= 0 and mod is not None:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
@@ -161,12 +150,11 @@ def ssyt_generating_function(shape: SkewShape, k: int) -> QPoly:
     return QPoly(coeffs)
 
 
-def _jt_count(tops: list[int], bottoms: list[int], k: int) -> int:
+def _jt_count(tops: Sequence[int], bottoms: Sequence[int], k: int) -> int:
     """count_ssyt of the skew shape whose outer and inner beta-sets, of one
-    length, are ``tops`` and ``bottoms``: the Jacobi-Trudi entry
-    h_(outer_i - inner_j - i + j) is h_(a_i - b_j), at q = 1 C(a_i - b_j + k - 1, k - 1)."""
-    return _integer_det([[comb(a - b + k - 1, k - 1) if a >= b else 0 for b in bottoms]
-                         for a in tops])
+    length, are ``tops`` and ``bottoms``: at q = 1 the entry h_e is the
+    multiset count C(e + k - 1, k - 1)."""
+    return _jt_det(tops, bottoms, lambda e: comb(e + k - 1, k - 1))
 
 
 def count_ssyt(shape: SkewShape, k: int) -> int:

@@ -2,7 +2,10 @@
 
 Everything downstream (abacus displays, Jacobi-Trudi matrices, tableau
 enumeration) consumes the types defined here.  All values are immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads.  Constructors take
+integers only: a float or a string is a ``TypeError``, never truncated.
+``Partition.beta_set`` is the one place that encodes a shape as bead
+positions, and ``partition_from_beta`` reads them back.
 
 Text formats: a partition is written as comma-separated parts, e.g.
 ``"9,9,6,6,6,4,1"``; the empty partition is ``""`` or ``"0"``.  A skew
@@ -11,6 +14,7 @@ shape is ``"OUTER/INNER"``, e.g. ``"9,9,6,6,6,4,1/2,1,1,1"``.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from ._value import Value
@@ -53,7 +57,7 @@ class Partition(Value):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         for i, p in enumerate(parts):
             if p < 0:
                 raise ValueError(f"negative part {p} at index {i}")
@@ -98,7 +102,8 @@ class Partition(Value):
         """
         if r < len(self.parts):
             raise ValueError("r too small")
-        return tuple(self.part(i) + r - 1 - i for i in range(r))
+        parts = self.parts + (0,) * (r - len(self.parts))
+        return tuple([p + r - 1 - i for i, p in enumerate(parts)])
 
     def kappa(self) -> int:
         """Sum of (i - 1) * p_i over rows i = 1, 2, ..."""
@@ -135,7 +140,7 @@ class Composition(Value):
     _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         if any(p < 0 for p in parts):
             raise ValueError("composition parts must be nonnegative")
         object.__setattr__(self, "parts", parts)
@@ -158,12 +163,10 @@ class Composition(Value):
 class SkewShape(Value):
     """An outer partition with an inner partition contained in it.
 
-    The inner partition is also kept zero-padded to the outer length, as
-    ``inner_padded``, so index formulas stay total.  Cells are 1-based
-    (row, column) pairs.
+    Cells are 1-based (row, column) pairs.
     """
 
-    __slots__ = ("outer", "inner", "inner_padded")
+    __slots__ = ("outer", "inner")
     _fields = ("outer", "inner")
 
     def __init__(self, outer: Partition, inner: Partition = Partition()):
@@ -173,9 +176,6 @@ class SkewShape(Value):
             raise ValueError(f"{outer} does not contain {inner}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(
-            self, "inner_padded", tuple(inner.part(i) for i in range(outer.length))
-        )
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
@@ -200,7 +200,7 @@ class SkewShape(Value):
 
     def row_interval(self, i: int) -> tuple[int, int]:
         """Columns occupied in row i (1-based): inner_i < col <= outer_i."""
-        return self.inner_padded[i - 1], self.outer.parts[i - 1]
+        return self.inner.part(i - 1), self.outer.parts[i - 1]
 
     def cells(self) -> list[tuple[int, int]]:
         """All cells in row-major order as 1-based (row, column) pairs."""
@@ -211,9 +211,8 @@ class SkewShape(Value):
         return out
 
     def row_diffs(self) -> tuple[int, ...]:
-        return tuple(
-            self.outer.parts[i] - self.inner_padded[i] for i in range(self.outer.length)
-        )
+        inner = self.inner
+        return tuple(p - inner.part(i) for i, p in enumerate(self.outer.parts))
 
     def __str__(self) -> str:
         if self.inner.length == 0:
@@ -231,8 +230,8 @@ def is_border_strip(shape: SkewShape) -> bool:
     rows = [i for i, d in enumerate(shape.row_diffs()) if d]
     if not rows or rows[-1] - rows[0] != len(rows) - 1:
         return False
-    outer, inner = shape.outer.parts, shape.inner_padded
-    return all(outer[i + 1] - inner[i] == 1 for i in rows[:-1])
+    outer, inner = shape.outer.parts, shape.inner
+    return all(outer[i + 1] - inner.part(i) == 1 for i in rows[:-1])
 
 
 def is_horizontal_strip(shape: SkewShape) -> bool:

@@ -110,15 +110,15 @@ def test_c05_matching_permutation_and_character_sign():
 def test_c06_index_matrix_and_runner_classes():
     shape = SkewShape(Partition([13, 10, 10, 10, 6]), Partition([7, 4, 4, 4]))
     matrix = jt_matrix(shape)
-    assert matrix.entries == (
+    assert matrix == (
         (6, 10, 11, 12, 17),
         (2, 6, 7, 8, 13),
         (1, 5, 6, 7, 12),
         (0, 4, 5, 6, 11),
         (-5, -1, 0, 1, 6),
     )
-    assert all(matrix[i, i] == 6 for i in range(5))
-    assert matrix[4, 0] == -5 and matrix[0, 4] == 17
+    assert all(matrix[i][i] == 6 for i in range(5))
+    assert matrix[4][0] == -5 and matrix[0][4] == 17
     assert runner_classes(shape, 3, "lambda") == ((3, 5), (2,), (1, 4))
     report("06", "index matrix matches and 3-runner classes are {3,5},{2},{1,4}")
 

@@ -72,6 +72,10 @@ def test_analyze_shifted():
     )
     with pytest.raises(ValueError):
         analyze_shifted(shape, 6, 4, 4)
+    # k and m are checked first, with analyze's message
+    for k, m in ((3, 0), (0, 3)):
+        with pytest.raises(ValueError, match=r"^k and m must be >= 1$"):
+            analyze_shifted(shape, k, m, 0)
 
 
 def test_qbinomial_reduction_identity():

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewsieve import characters
 from skewsieve.abacus import _legal_moves, quotient, remove_strip_moves, skew_quotient
 from skewsieve.characters import (
     enumerate_bst,
@@ -72,6 +73,16 @@ def test_enumerate_bst_trivial_shapes():
     # more strips than the interpreter's recursion limit
     long_row = list(enumerate_bst(SkewShape.parse("1200"), 1))
     assert len(long_row) == 1 and long_row[0].num_strips == 1200
+
+
+def test_enumerate_bst_without_quotient_walks_nothing(monkeypatch):
+    # no 2-quotient, so no tableaux; the walk would visit every reachable
+    # bead configuration before finding that out
+    def no_walk(*args):
+        raise AssertionError("walked the bead configurations")
+
+    monkeypatch.setattr(characters, "_legal_moves", no_walk)
+    assert list(enumerate_bst(SkewShape.parse("9,8,8,8/2,1"), 2)) == []
 
 
 def test_enumerate_bst_is_valid_and_deterministic():

@@ -222,6 +222,11 @@ PINNED_STDOUT = [
         id="bst-show",
     ),
     pytest.param(
+        ["bst", "--shape", "9,8,8,8/2,1", "--order", "2", "--show", "1"],
+        "count: 0\nepsilon: 0\n",
+        id="bst-show-no-quotient",
+    ),
+    pytest.param(
         ["char", "--shape", SEVEN_ROWS, "--type", "3"],
         "value: -582120\nbst_count: 582120\nepsilon: -1\n",
         id="char-type",

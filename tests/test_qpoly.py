@@ -49,6 +49,9 @@ def test_qpoly_canonical_and_arith():
     assert QPoly.monomial(3, 5).coeffs == (0, 0, 0, 5)
     assert g.shift(2).coeffs == (0, 0, 0, 1)
     assert substitute_power(QPoly([1, 2]), 3).coeffs == (1, 0, 0, 2)
+    for bad in ([0.5], [1, 2.0], "12"):
+        with pytest.raises(TypeError):
+            QPoly(bad)
 
 
 def test_qpoly_is_a_frozen_value():

@@ -41,6 +41,10 @@ def test_constructor_rejects_bad_input():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    # integers only: no truncated floats, no strings read digit by digit
+    for bad in ([2.5], [3.0, 1], "31"):
+        with pytest.raises(TypeError):
+            Partition(bad)
 
 
 def test_parse_and_str():
@@ -112,7 +116,7 @@ def test_conjugate():
 def test_skew_shape_basics():
     shape = SkewShape(Partition([3, 2]), Partition([1]))
     assert shape.size == 4
-    assert shape.inner_padded == (1, 0)
+    assert (shape.inner.part(0), shape.inner.part(1)) == (1, 0)
     assert shape.cells() == [(1, 2), (1, 3), (2, 1), (2, 2)]
     assert str(shape) == "3,2/1"
     assert SkewShape.parse("3,2/1") == shape
@@ -169,7 +173,8 @@ def test_border_strip_survives_terminal_cell_removal():
     # chopping either end of a strip leaves a strip or nothing
     for alpha in compositions_with_parts(3, range(1, 4)):
         shape = border_strip_shape(alpha)
-        outer, inner = list(shape.outer.parts), list(shape.inner_padded)
+        outer = list(shape.outer.parts)
+        inner = [shape.inner.part(i) for i in range(len(outer))]
         # top-right end
         if outer[0] - inner[0] > 1:
             top = SkewShape(Partition([outer[0] - 1] + outer[1:]), Partition(inner))
@@ -208,6 +213,9 @@ def test_composition():
     assert Composition.parse("") == Composition()
     with pytest.raises(ValueError):
         Composition([1, -1])
+    for bad in ([1.9], "21"):
+        with pytest.raises(TypeError):
+            Composition(bad)
     # the partition grammar: ASCII digits, and a bad piece names its offset
     for text, pos in (("+1", 0), ("1_0", 0), ("1,,2", 2), ("2,-1", 2), ("1,\u0661", 2), ("\u00b2", 0)):
         with pytest.raises(ValueError, match=f"invalid composition at position {pos}:"):
@@ -223,7 +231,7 @@ def test_value_types_are_frozen_and_compare_by_value():
     assert shape != SkewShape(lam) and nu != Composition([2, 1]) and lam != Composition([3, 1])
     assert repr(shape) == "SkewShape(outer=Partition(parts=(3, 1)), inner=Partition(parts=(1,)))"
     assert repr(nu) == "Composition(parts=(1, 2))"
-    for obj, name in ((lam, "parts"), (nu, "parts"), (shape, "inner"), (shape, "inner_padded")):
+    for obj, name in ((lam, "parts"), (nu, "parts"), (shape, "inner")):
         with pytest.raises(AttributeError):
             setattr(obj, name, ())
         with pytest.raises(AttributeError):
@@ -234,6 +242,6 @@ def test_value_types_are_frozen_and_compare_by_value():
         with pytest.raises(AttributeError):
             del obj.foo
         assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
-    assert copy.copy(shape).inner_padded == (1, 0)
+    assert copy.copy(shape).inner.part(1) == 0
     with pytest.raises(TypeError):
         SkewShape((3, 1), (1,))
