@@ -40,7 +40,7 @@ print("  skew:", " ; ".join(str(c) for c in sq.components))
 print()
 
 print("rows grouped by the runner of their outer bead:")
-for t, cls in enumerate(runner_classes(shape, 3, "lambda")):
+for t, cls in enumerate(runner_classes(shape, 3)):
     print(f"  runner {t}: rows {set(cls)}")
 print()
 

@@ -41,8 +41,9 @@ print()
 box = SkewShape(Partition([2, 2]))
 print(f"shape {box} at a primitive square root of unity with 2 variables:")
 print(f"  evaluation = {eval_at_root(box, 2, 2)}")
-print(f"  direct check: {principal_specialization(box, 2)} at q = -1 is "
-      f"{principal_specialization(box, 2).evaluate(-1)}")
+poly = principal_specialization(box, 2)
+print(f"  direct check: {poly} at q = -1 is "
+      f"{sum(c if e % 2 == 0 else -c for e, c in enumerate(poly.coeffs))}")
 print(f"  rectangular Kostka-Foulkes value there: "
       f"{kostka_foulkes_rect_at_root(box, 2, 2)}")
 print()

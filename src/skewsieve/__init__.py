@@ -6,16 +6,13 @@ from .shapes import (
     Composition,
     Partition,
     SkewShape,
-    border_strip_shape,
     is_border_strip,
-    is_horizontal_strip,
     partition_from_beta,
 )
 from .qpoly import (
     CspDecomposition,
     QPoly,
     Verdict,
-    a_coefficient,
     csp_decompose,
     divisors,
     eval_at_primitive_root,
@@ -71,10 +68,8 @@ __all__ = [
     "SkewQuotient",
     "SkewShape",
     "Verdict",
-    "a_coefficient",
     "analyze",
     "analyze_shifted",
-    "border_strip_shape",
     "core",
     "count_ssyt",
     "csp_decompose",
@@ -85,7 +80,6 @@ __all__ = [
     "eval_at_root",
     "gaussian_binomial",
     "is_border_strip",
-    "is_horizontal_strip",
     "jt_matrix",
     "kostka_foulkes_rect_at_root",
     "mobius",

@@ -13,8 +13,9 @@ rows (the beta-set of that quotient component) and the indices of the beta
 numbers there.  ``quotient`` and ``core`` read one display.  For skew
 computations the bead count r is always the outer length, so the outer
 and inner displays stay aligned; read together, they feed the skew
-quotient, the runner classes, the matching permutation and the
-quotient-theorem counts in ``characters``.
+quotient, the runner classes of the outer beads, the single strip
+removals, and the matching permutation and quotient-theorem counts in
+``characters``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class AbacusDisplay(NamedTuple):
     d: int
     r: int
     positions: tuple[int, ...]
-
-    def partition(self) -> Partition:
-        """Reconstruct the partition encoded by the bead positions."""
-        return partition_from_beta(self.positions)
 
     def render(self) -> str:
         """One text row per abacus row; beads are filled circles."""
@@ -57,12 +54,6 @@ class SkewQuotient(NamedTuple):
 
     exists: bool
     components: tuple[SkewShape, ...] | None
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        if self.components is None:
-            raise ValueError("quotient does not exist")
-        return tuple(c.size for c in self.components)
 
 
 def display(lam: Partition, d: int, r: int) -> AbacusDisplay:
@@ -139,18 +130,10 @@ def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:
                                     for a, b in zip(outer_rows, inner_rows)))
 
 
-def runner_classes(
-    shape: SkewShape, d: int, which: str = "lambda"
-) -> tuple[tuple[int, ...], ...]:
-    """Partition the row indices 1..length by the runner of their bead.
-
-    ``which`` selects whether the outer ("lambda") or inner ("mu") beta
-    values place the beads.
-    """
-    _, _, outer_at, inner_at = _runners(shape, d)
-    if which not in ("lambda", "mu"):
-        raise ValueError("which must be 'lambda' or 'mu'")
-    return tuple(tuple(i + 1 for i in c) for c in (outer_at if which == "lambda" else inner_at))
+def runner_classes(shape: SkewShape, d: int) -> tuple[tuple[int, ...], ...]:
+    """Partition the row indices 1..length by the runner of their outer bead."""
+    outer_at = _runners(shape, d)[2]
+    return tuple(tuple(i + 1 for i in c) for c in outer_at)
 
 
 def _legal_moves(
@@ -183,20 +166,16 @@ def _legal_moves(
     return moves
 
 
-def remove_strip_moves(
-    lam: Partition, d: int, target_mu: Partition, r: int | None = None
-) -> list[tuple[int, int]]:
+def remove_strip_moves(lam: Partition, d: int, target_mu: Partition) -> list[tuple[int, int]]:
     """Legal single-strip removals of size d that keep the target inside.
 
-    Each move is a (bead position, height) pair on the r-bead display;
-    r defaults to the length of ``lam``.  Raises if no removal sequence
-    from ``lam`` down to ``target_mu`` can exist at all.
+    Each move is a (bead position, height) pair on the display with one
+    bead per row of ``lam``.  Raises if no removal sequence from ``lam``
+    down to ``target_mu`` can exist at all.
     """
     outer_rows, inner_rows, _, _ = _runners(SkewShape(lam, target_mu), d)
     if not _nested(outer_rows, inner_rows):
         raise ValueError("no removal sequence")
-    if r is None:
-        r = lam.length
-    beta = lam.beta_set(r)
-    target = target_mu.beta_set(r)
+    beta = lam.beta_set(lam.length)
+    target = target_mu.beta_set(lam.length)
     return [(p, height) for p, height, _ in _legal_moves(beta, d, target)]

@@ -36,10 +36,6 @@ class BorderStripTableau(NamedTuple):
     heights: tuple[int, ...]
 
     @property
-    def num_strips(self) -> int:
-        return len(self.strips)
-
-    @property
     def total_height(self) -> int:
         return sum(self.heights)
 

@@ -67,7 +67,7 @@ def builtin_checks() -> list[CheckResult]:
         ),
         (
             "index matrix of 13,10,10,10,6/7,4,4,4 and its 3-runner classes",
-            (jt_matrix(banded), runner_classes(banded, 3, "lambda")),
+            (jt_matrix(banded), runner_classes(banded, 3)),
             (
                 (
                     (6, 10, 11, 12, 17),

@@ -33,11 +33,15 @@ from .shapes import Composition, Partition, SkewShape
 
 
 def _int_at_least(low: int, complaint: str):
+    """An argparse type for ASCII digits with an optional leading "-",
+    spaces allowed around them; ``int`` alone would also take "+2", "1_0"
+    and non-ASCII digits."""
+
     def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
+        digits = text.strip().removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{complaint}: {text}")
         return value

@@ -1,7 +1,9 @@
-"""Exact polynomial arithmetic in q and the cyclic divisor-basis calculus.
+"""Integer polynomials in q and the cyclic divisor-basis calculus.
 
 A polynomial is a dense tuple of arbitrary-precision integers indexed by
-exponent.  For a modulus m the divisor basis consists of the polynomials
+exponent.  The routes here read, shift, fold and classify polynomials;
+``QPoly * QPoly`` is the one arithmetic operation.  For a modulus m the
+divisor basis consists of the polynomials
 
     B_d = (q^m - 1) / (q^(m/d) - 1) = 1 + q^(m/d) + q^(2m/d) + ...
 
@@ -45,20 +47,6 @@ class QPoly(Value):
             n -= 1
         object.__setattr__(self, "coeffs", coeffs[:n])
 
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, e: int, c: int = 1) -> "QPoly":
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * e + (c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -71,12 +59,6 @@ class QPoly(Value):
     def coefficient(self, e: int) -> int:
         return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def shift(self, e: int) -> "QPoly":
         """Multiply by q^e."""
         if e < 0:
@@ -85,27 +67,7 @@ class QPoly(Value):
             return self
         return QPoly((0,) * e + self.coeffs)
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly(other * c for c in self.coeffs)
+    def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()
@@ -115,9 +77,6 @@ class QPoly(Value):
                 for j, cj in enumerate(b):
                     out[i + j] += ci * cj
         return QPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -289,17 +248,6 @@ def gaussian_binomial(n: int, k: int) -> QPoly:
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
-        return QPoly.zero()
+        return QPoly()
     w = comb(n + k - 1, n).bit_length() // 8 + 1
     return QPoly(_digits(_q_binomial_at(n, k, w), w))
-
-
-def a_coefficient(l: int, k: int, n: int) -> int:
-    """Coefficient of q^l in the q-binomial for (n, k) reduced mod q^k - 1.
-
-    l is read modulo k, which in particular makes the value for k = 1
-    always equal to 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return reduce_mod(gaussian_binomial(n, k), k).coefficient(l % k)

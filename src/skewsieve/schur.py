@@ -73,7 +73,9 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     X^mod - 1 is the sum of F_j X^j over the folded coefficients F_j,
     because X^mod = 1 there and those F_j are nonnegative with sum
     below X - 1, so that sum is already the least residue.  Its at most
-    ``mod`` digits are the folded coefficients.
+    ``mod`` digits are the folded coefficients.  A determinant of at most
+    ``mod`` digits is already that residue (no digit reaches X - 1), so
+    the modulus is built only for a longer one.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -84,7 +86,7 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     l = shape.outer.length
     det = _jt_det(shape.outer.beta_set(l), shape.inner.beta_set(l),
                   lambda e: _q_binomial_at(e, k, w))
-    if det >= 0 and mod is not None:
+    if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
         raise RuntimeError(

@@ -1,7 +1,8 @@
-"""Partitions, skew shapes and compositions.
+"""Partitions, skew shapes and compositions, and the border-strip test.
 
 Everything downstream (abacus displays, Jacobi-Trudi matrices, tableau
-enumeration) consumes the types defined here.  All values are immutable
+enumeration) consumes the types defined here; ``is_border_strip`` is the
+one shape predicate, which ``analysis`` reads.  All values are immutable
 after construction and safe to share between threads.  Constructors take
 integers only: a float or a string is a ``TypeError``, never truncated.
 ``Partition.beta_set`` is the one place that encodes a shape as bead
@@ -105,10 +106,6 @@ class Partition(Value):
         parts = self.parts + (0,) * (r - len(self.parts))
         return tuple([p + r - 1 - i for i, p in enumerate(parts)])
 
-    def kappa(self) -> int:
-        """Sum of (i - 1) * p_i over rows i = 1, 2, ..."""
-        return sum(i * p for i, p in enumerate(self.parts))
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition()
@@ -194,10 +191,6 @@ class SkewShape(Value):
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
-    @property
-    def is_empty(self) -> bool:
-        return self.size == 0
-
     def row_interval(self, i: int) -> tuple[int, int]:
         """Columns occupied in row i (1-based): inner_i < col <= outer_i."""
         return self.inner.part(i - 1), self.outer.parts[i - 1]
@@ -232,34 +225,3 @@ def is_border_strip(shape: SkewShape) -> bool:
         return False
     outer, inner = shape.outer.parts, shape.inner
     return all(outer[i + 1] - inner.part(i) == 1 for i in rows[:-1])
-
-
-def is_horizontal_strip(shape: SkewShape) -> bool:
-    """True iff no column of the diagram holds two cells."""
-    outer_conj = shape.outer.conjugate()
-    inner_conj = shape.inner.conjugate()
-    return all(
-        outer_conj.part(j) - inner_conj.part(j) <= 1 for j in range(outer_conj.length)
-    )
-
-
-def border_strip_shape(alpha: Iterable[int]) -> SkewShape:
-    """Build the border strip whose row lengths are the given composition.
-
-    Row i of the result has alpha_i cells and consecutive rows overlap in
-    exactly one column, so every composition with all parts >= 1 yields a
-    valid connected strip.
-    """
-    parts = tuple(alpha)
-    if not parts:
-        return SkewShape(Partition())
-    if any(p < 1 for p in parts):
-        raise ValueError("border strip rows must have at least one cell")
-    l = len(parts)
-    outer = [0] * l
-    inner = [0] * l
-    outer[l - 1] = parts[l - 1]
-    for i in range(l - 2, -1, -1):
-        inner[i] = outer[i + 1] - 1
-        outer[i] = inner[i] + parts[i]
-    return SkewShape(Partition(outer), Partition(inner))

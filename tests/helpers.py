@@ -1,16 +1,20 @@
 """Shared generators and independent oracles for the test suite.
 
 The shape oracles here work directly on cell sets and diagram surgery so
-they share no code with the bead-position implementation they check.  The
-polynomial helpers at the end (the divisor basis, q -> q^s and the
-q-binomial fold identity) build on ``QPoly`` only.
+they share no code with the bead-position implementation they check; the
+strip builders and predicates on ``SkewShape`` read row lengths only.  The
+polynomial helpers at the end (linear combinations, the divisor basis,
+q -> q^s, the q-binomial fold identity and its coefficients) build on
+``QPoly`` only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from skewsieve.qpoly import QPoly, gaussian_binomial, reduce_mod
+from skewsieve.shapes import Partition, SkewShape
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -123,6 +127,35 @@ def is_border_strip_cells(cells: set[tuple[int, int]]) -> bool:
             if nb in cells and nb not in seen
         )
     return len(seen) == len(cells)
+
+
+def border_strip_shape(alpha: Iterable[int]) -> SkewShape:
+    """Build the border strip whose row lengths are the given composition.
+
+    Row i of the result has alpha_i cells and consecutive rows overlap in
+    exactly one column, so every composition with all parts >= 1 yields a
+    valid connected strip.
+    """
+    parts = tuple(alpha)
+    if not parts:
+        return SkewShape(Partition())
+    if any(p < 1 for p in parts):
+        raise ValueError("border strip rows must have at least one cell")
+    l = len(parts)
+    outer = [0] * l
+    inner = [0] * l
+    outer[l - 1] = parts[l - 1]
+    for i in range(l - 2, -1, -1):
+        inner[i] = outer[i + 1] - 1
+        outer[i] = inner[i] + parts[i]
+    return SkewShape(Partition(outer), Partition(inner))
+
+
+def is_horizontal_strip(shape: SkewShape) -> bool:
+    """True iff no column of the diagram holds two cells: each row ends
+    no further right than the row above it starts."""
+    outer, inner = shape.outer, shape.inner
+    return all(outer.part(i + 1) <= inner.part(i) for i in range(outer.length - 1))
 
 
 def diagram_strip_removals(lam: tuple[int, ...], d: int):
@@ -251,6 +284,16 @@ def complex_root_value(coeffs, m: int, j: int) -> complex:
     return total
 
 
+def linear_combination(terms: Iterable[tuple[int, QPoly]]) -> QPoly:
+    """The sum of c * f over the (c, f) pairs, coefficient by coefficient."""
+    out: list[int] = []
+    for c, f in terms:
+        out += [0] * (len(f.coeffs) - len(out))
+        for e, x in enumerate(f.coeffs):
+            out[e] += c * x
+    return QPoly(out)
+
+
 def substitute_power(f: QPoly, s: int) -> QPoly:
     """Replace q by q^s (s >= 1)."""
     if s < 1:
@@ -281,7 +324,16 @@ def verify_qbinomial_reduction_identity(n: int, k: int, m: int) -> bool:
     if n < 1 or k < 1 or m < 1 or n % m != 0:
         raise ValueError("need n, k, m >= 1 with m dividing n")
     lhs = reduce_mod(gaussian_binomial(n, k), m)
-    total = gaussian_binomial(0, n)
-    for j in range(1, k):
-        total = total + gaussian_binomial(j, n)
+    total = linear_combination((1, gaussian_binomial(j, n)) for j in range(k))
     return lhs == reduce_mod(total, m)
+
+
+def a_coefficient(l: int, k: int, n: int) -> int:
+    """Coefficient of q^l in the q-binomial for (n, k) reduced mod q^k - 1.
+
+    l is read modulo k, which in particular makes the value for k = 1
+    always equal to 1.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return reduce_mod(gaussian_binomial(n, k), k).coefficient(l % k)

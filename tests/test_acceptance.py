@@ -28,23 +28,21 @@ from skewsieve.characters import (
 )
 from skewsieve.qpoly import (
     Verdict,
-    a_coefficient,
     divisors,
     eval_at_primitive_root,
     gaussian_binomial,
     reduce_mod,
 )
 from skewsieve.schur import jt_matrix, principal_specialization, ssyt_generating_function
-from skewsieve.shapes import (
-    Partition,
-    SkewShape,
-    border_strip_shape,
-    is_horizontal_strip,
-)
+from skewsieve.shapes import Partition, SkewShape
 
 from helpers import (
+    a_coefficient,
     basis_element,
+    border_strip_shape,
     compositions_with_parts,
+    is_horizontal_strip,
+    linear_combination,
     partitions_in_box,
     partitions_up_to,
     subpartitions,
@@ -119,7 +117,7 @@ def test_c06_index_matrix_and_runner_classes():
     )
     assert all(matrix[i][i] == 6 for i in range(5))
     assert matrix[4][0] == -5 and matrix[0][4] == 17
-    assert runner_classes(shape, 3, "lambda") == ((3, 5), (2,), (1, 4))
+    assert runner_classes(shape, 3) == ((3, 5), (2,), (1, 4))
     report("06", "index matrix matches and 3-runner classes are {3,5},{2},{1,4}")
 
 
@@ -170,7 +168,7 @@ def test_c10_divisor_geometric_sum_product_identity():
         for a in divisors(m):
             for b in divisors(m):
                 lhs = reduce_mod(basis_element(m, m // a) * basis_element(m, m // b), m)
-                rhs = (m // lcm(a, b)) * basis_element(m, m // gcd(a, b))
+                rhs = linear_combination([(m // lcm(a, b), basis_element(m, m // gcd(a, b)))])
                 assert lhs == reduce_mod(rhs, m)
                 checked += 1
     report("10", f"geometric-sum product identity bit-exact in {checked} cases")

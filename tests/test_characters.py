@@ -18,12 +18,7 @@ from skewsieve.characters import (
 )
 from skewsieve.qpoly import eval_at_primitive_root
 from skewsieve.schur import _fillings, principal_specialization, ssyt_generating_function
-from skewsieve.shapes import (
-    Partition,
-    SkewShape,
-    is_horizontal_strip,
-    partition_from_beta,
-)
+from skewsieve.shapes import Partition, SkewShape, partition_from_beta
 
 from helpers import (
     compositions_of,
@@ -31,6 +26,7 @@ from helpers import (
     diagram_signed_char,
     hook_length_count,
     is_border_strip_cells,
+    is_horizontal_strip,
     partitions_in_box,
     partitions_of,
     partitions_up_to,
@@ -43,7 +39,7 @@ SEVEN_ROW_SHAPE = SkewShape(Partition([9, 9, 6, 6, 6, 4, 1]), Partition([2, 1, 1
 
 def validate_tableau(shape, tableau, d):
     cells = set(shape.cells())
-    assert d * tableau.num_strips == shape.size
+    assert d * len(tableau.strips) == shape.size
     seen = set()
     for idx, strip in enumerate(tableau.strips):
         assert len(strip) == d
@@ -69,10 +65,10 @@ def test_enumerate_bst_trivial_shapes():
     assert list(enumerate_bst(SkewShape.parse("2,1"), 2)) == []  # size not divisible
     lam = Partition([3, 1])
     empty = list(enumerate_bst(SkewShape(lam, lam), 5))
-    assert len(empty) == 1 and empty[0].num_strips == 0
+    assert len(empty) == 1 and len(empty[0].strips) == 0
     # more strips than the interpreter's recursion limit
     long_row = list(enumerate_bst(SkewShape.parse("1200"), 1))
-    assert len(long_row) == 1 and long_row[0].num_strips == 1200
+    assert len(long_row) == 1 and len(long_row[0].strips) == 1200
 
 
 def test_enumerate_bst_without_quotient_walks_nothing(monkeypatch):
@@ -142,7 +138,8 @@ def test_pinned_removal_sequence_is_reachable():
         p = moved.pop()
         assert p - 3 in set(after)
         current = partition_from_beta(before)
-        assert (p, height) in remove_strip_moves(current, 3, mu, r=7)
+        # one bead per row of current: every position drops by 7 - length
+        assert (p - (7 - current.length), height) in remove_strip_moves(current, 3, mu)
     assert sum(heights) == 11  # odd, consistent with the sign below
     first = next(iter(enumerate_bst(SEVEN_ROW_SHAPE, 3)))
     validate_tableau(SEVEN_ROW_SHAPE, first, 3)

@@ -269,6 +269,24 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["specialize", "--shape", "2,1", "--vars", "2", "--bogus"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # the integer flags take ASCII digits only, as --shape and --nu do
+    for text in ("1_0", "\u0663", "+2", "-", " - 3", "2.0"):
+        with pytest.raises(SystemExit) as exc:
+            run(["specialize", "--shape", "2,1", "--vars", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --vars: not an integer: {text!r}\n")
+    for argv, message in (
+        (["specialize", "--shape", "2,1", "--vars", "0"], "argument --vars: must be a positive integer: 0"),
+        (["analyze", "--shape", "2,1", "--vars", "2", "--mod", "2", "--shift", "-1"],
+         "argument --shift: must be nonnegative: -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert run(["specialize", "--shape", "2,1", "--vars", " 2 "]) == 0
+    assert capsys.readouterr().out == "q + q^2\n"
 
 
 def test_shape_parse_error_reports_position(capsys):

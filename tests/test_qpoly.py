@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
-    a_coefficient,
     csp_decompose,
     divisors,
     eval_at_primitive_root,
@@ -17,7 +16,13 @@ from skewsieve.qpoly import (
     reduce_mod,
 )
 
-from helpers import basis_element, complex_root_value, substitute_power
+from helpers import (
+    a_coefficient,
+    basis_element,
+    complex_root_value,
+    linear_combination,
+    substitute_power,
+)
 
 
 small_poly = st.lists(st.integers(-9, 9), max_size=12).map(QPoly)
@@ -38,15 +43,8 @@ def test_qpoly_canonical_and_arith():
     assert QPoly().degree == -1
     f = QPoly([1, 2, 3])
     g = QPoly([0, 1])
-    assert (f + g).coeffs == (1, 3, 3)
-    assert (f - f).is_zero
     assert (f * g).coeffs == (0, 1, 2, 3)
-    assert (3 * f).coeffs == (3, 6, 9)
-    assert (-g).coeffs == (0, -1)
-    assert f.evaluate(1) == 6
-    assert f.evaluate(-1) == 2
     assert f.coefficient(2) == 3 and f.coefficient(99) == 0
-    assert QPoly.monomial(3, 5).coeffs == (0, 0, 0, 5)
     assert g.shift(2).coeffs == (0, 0, 0, 1)
     assert substitute_power(QPoly([1, 2]), 3).coeffs == (1, 0, 0, 2)
     for bad in ([0.5], [1, 2.0], "12"):
@@ -79,7 +77,7 @@ def test_qpoly_text():
 
 
 def test_reduce_mod_examples():
-    f = QPoly.monomial(9) + QPoly.monomial(1) + 3 * QPoly.one()
+    f = QPoly([3, 1, 0, 0, 0, 0, 0, 0, 0, 1])
     assert reduce_mod(f, 9) == QPoly([4, 1])
     g = QPoly([1, 2, 3])
     assert reduce_mod(g, 5) == g
@@ -90,7 +88,10 @@ def test_reduce_mod_examples():
 @given(small_poly, small_poly, st.integers(1, 24))
 def test_reduce_mod_is_ring_homomorphism(f, g, m):
     assert reduce_mod(f * g, m) == reduce_mod(reduce_mod(f, m) * reduce_mod(g, m), m)
-    assert reduce_mod(f + g, m) == reduce_mod(reduce_mod(f, m) + reduce_mod(g, m), m)
+    total = linear_combination([(1, f), (1, g)])
+    assert reduce_mod(total, m) == reduce_mod(
+        linear_combination([(1, reduce_mod(f, m)), (1, reduce_mod(g, m))]), m
+    )
 
 
 def test_mobius():
@@ -110,13 +111,13 @@ def test_divisors():
 
 
 def test_basis_element():
-    assert basis_element(6, 1) == QPoly.one()
+    assert basis_element(6, 1) == QPoly([1])
     assert basis_element(6, 6) == QPoly([1] * 6)
     assert basis_element(6, 3) == QPoly([1, 0, 1, 0, 1])
     for m in range(1, 15):
         for d in divisors(m):
             b = basis_element(m, d)
-            assert b.evaluate(1) == d
+            assert sum(b.coeffs) == d
             assert {e for e, c in enumerate(b.coeffs) if c} == {
                 i * (m // d) for i in range(d)
             }
@@ -124,9 +125,9 @@ def test_basis_element():
 
 def test_gaussian_binomial_examples():
     assert gaussian_binomial(2, 3) == QPoly([1, 1, 2, 1, 1])
-    assert gaussian_binomial(0, 4) == QPoly.one()
+    assert gaussian_binomial(0, 4) == QPoly([1])
     assert gaussian_binomial(-5, 6).is_zero
-    assert gaussian_binomial(3, 1) == QPoly.one()
+    assert gaussian_binomial(3, 1) == QPoly([1])
     # deeper than the interpreter's recursion limit
     assert gaussian_binomial(2000, 2) == QPoly([1] * 2001)
     with pytest.raises(ValueError):
@@ -172,12 +173,12 @@ def test_a_coefficient_divisor_recurrence():
 
 
 def test_csp_decompose_examples():
-    one = csp_decompose(QPoly.one(), 12)
+    one = csp_decompose(QPoly([1]), 12)
     assert one.verdict is Verdict.CSP
     assert one.coefficients == {d: (1 if d == 1 else 0) for d in divisors(12)}
     assert csp_decompose(QPoly([0, 1]), 3).verdict is Verdict.NOT_PRE_CSP
     assert csp_decompose(QPoly([0, 1]), 3).coefficients is None
-    zero = csp_decompose(QPoly.zero(), 6)
+    zero = csp_decompose(QPoly(), 6)
     assert zero.verdict is Verdict.CSP
     assert all(v == 0 for v in zero.coefficients.values())
 
@@ -187,9 +188,7 @@ def test_csp_decompose_round_trip():
     for m in range(1, 25):
         for _ in range(8):
             coeffs = {d: rng.randint(-30, 30) for d in divisors(m)}
-            f = QPoly.zero()
-            for d, a in coeffs.items():
-                f = f + a * basis_element(m, d)
+            f = linear_combination((a, basis_element(m, d)) for d, a in coeffs.items())
             dec = csp_decompose(f, m)
             assert dec.coefficients == coeffs
             expected = (
@@ -206,16 +205,18 @@ def test_decomposition_reconstructs_reduction():
             f = gaussian_binomial(n, 2 * m)
             dec = csp_decompose(f, m)
             assert dec.verdict is Verdict.CSP
-            rebuilt = QPoly.zero()
-            for d, a in dec.coefficients.items():
-                rebuilt = rebuilt + a * basis_element(m, d)
+            rebuilt = linear_combination(
+                (a, basis_element(m, d)) for d, a in dec.coefficients.items()
+            )
             assert reduce_mod(rebuilt, m) == reduce_mod(f, m)
 
 
 def test_eval_at_primitive_root_examples():
-    f = 12 * basis_element(4, 1) + 264 * basis_element(4, 2) + 1576440 * basis_element(4, 4)
+    f = linear_combination(
+        [(12, basis_element(4, 1)), (264, basis_element(4, 2)), (1576440, basis_element(4, 4))]
+    )
     assert eval_at_primitive_root(f, 4, 1) == 12
-    assert eval_at_primitive_root(f, 4, 0) == f.evaluate(1)
+    assert eval_at_primitive_root(f, 4, 0) == sum(f.coeffs)
     with pytest.raises(ValueError, match="no divisor-basis decomposition"):
         eval_at_primitive_root(QPoly([0, 1]), 3, 1)
 
@@ -239,7 +240,8 @@ def test_mobius_consistency_of_root_values():
     polys = [(gaussian_binomial(n, m), m) for m in (4, 6, 9, 12) for n in (2, 5, 7)]
     # include a case with a negative coordinate
     polys.append(
-        (basis_element(9, 1) - 3 * basis_element(9, 3) + 7 * basis_element(9, 9), 9)
+        (linear_combination([(1, basis_element(9, 1)), (-3, basis_element(9, 3)),
+                             (7, basis_element(9, 9))]), 9)
     )
     for f, m in polys:
         dec = csp_decompose(f, m)

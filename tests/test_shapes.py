@@ -9,16 +9,16 @@ from skewsieve.shapes import (
     Composition,
     Partition,
     SkewShape,
-    border_strip_shape,
     is_border_strip,
-    is_horizontal_strip,
     partition_from_beta,
 )
 
 from helpers import (
+    border_strip_shape,
     cells_of,
     compositions_with_parts,
     is_border_strip_cells,
+    is_horizontal_strip,
     partitions_up_to,
     subpartitions,
 )
@@ -99,12 +99,6 @@ def test_beta_set_strictly_decreasing(parts, extra):
     assert partition_from_beta(beta) == lam
 
 
-def test_kappa():
-    assert Partition([3, 2]).kappa() == 2
-    assert Partition().kappa() == 0
-    assert Partition([1, 1, 1]).kappa() == 3
-
-
 def test_conjugate():
     assert Partition([3, 1]).conjugate().parts == (2, 1, 1)
     assert Partition().conjugate() == Partition()
@@ -130,7 +124,6 @@ def test_skew_shape_basics():
 def test_empty_skew_shape_is_legal():
     shape = SkewShape(Partition([2, 2]), Partition([2, 2]))
     assert shape.size == 0
-    assert shape.is_empty
     assert shape.cells() == []
 
 
