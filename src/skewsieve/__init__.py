@@ -17,7 +17,6 @@ from .qpoly import (
     divisors,
     eval_at_primitive_root,
     gaussian_binomial,
-    mobius,
     reduce_mod,
 )
 from .abacus import (
@@ -82,7 +81,6 @@ __all__ = [
     "is_border_strip",
     "jt_matrix",
     "kostka_foulkes_rect_at_root",
-    "mobius",
     "one_line_string",
     "partition_from_beta",
     "perm",

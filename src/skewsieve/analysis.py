@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qpoly import (
-    CspDecomposition,
-    Verdict,
-    csp_decompose,
-    reduce_mod,
-)
+from .qpoly import CspDecomposition, Verdict, csp_decompose
 from .schur import principal_specialization
 from .shapes import SkewShape, is_border_strip
 
@@ -77,5 +72,5 @@ def analyze_shifted(shape: SkewShape, k: int, m: int, shift: int) -> CspDecompos
     if not 0 <= shift < m:
         raise ValueError("shift must satisfy 0 <= shift < m")
     poly = principal_specialization(shape, k, mod=m)
-    return csp_decompose(reduce_mod(poly.shift(shift), m), m)
+    return csp_decompose(poly.shift(shift), m)
 

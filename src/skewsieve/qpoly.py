@@ -9,10 +9,12 @@ divisor basis consists of the polynomials
 
 for each divisor d of m.  Reducing modulo q^m - 1 folds exponents into
 residue classes; a reduced polynomial lies in the span of the B_d exactly
-when its coefficients are constant on the classes {j : gcd(j, m) = g}, and
-the basis coefficients are then recovered by Mobius inversion over the
-divisor lattice.  Everything stays in integer arithmetic; no root of unity
-is ever touched numerically.
+when its coefficients are constant on the classes {j : gcd(j, m) = g}.
+The value on class g is the sum of the coefficients of B_(m/e) over the
+divisors e of g, so the basis coefficients are recovered one divisor at a
+time in increasing order, each by subtracting the ones already known.
+Everything stays in integer arithmetic; no root of unity is ever touched
+numerically.
 
 A polynomial with nonnegative coefficients below 2^(8w) is also held
 exactly by its value at q = 2^(8w), whose base-2^(8w) digits are the
@@ -55,9 +57,6 @@ class QPoly(Value):
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
 
     def shift(self, e: int) -> "QPoly":
         """Multiply by q^e."""
@@ -127,7 +126,11 @@ class CspDecomposition(NamedTuple):
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
+    """Sorted positive divisors of n >= 1.
+
+    Trial division up to sqrt(n): O(sqrt(n)) steps, the only cost in the
+    modulus that ``csp_decompose`` pays.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     small, large = [], []
@@ -139,24 +142,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def mobius(n: int) -> int:
-    """Classical Mobius function, by trial division."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
 
 
 def reduce_mod(f: QPoly, m: int) -> QPoly:
@@ -174,33 +159,36 @@ def reduce_mod(f: QPoly, m: int) -> QPoly:
 def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     """Classify f against the divisor basis modulo q^m - 1.
 
-    The reduced coefficient at q^j depends only on gcd(j, m) whenever f
-    lies in the basis span, so the verdict test is constancy on gcd
-    classes; the coefficients follow by Mobius inversion.
+    The reduced coefficient r_j must depend only on gcd(j, m).  Class g is
+    read at its least member q^g (q^0 for g = m); every stored r_j is
+    checked against its class, and a class whose greatest member m - g
+    lies past the stored coefficients must read 0.  The value on class g
+    is the sum of a_(m/e) over the divisors e of g, so walking g upward
+    gives each a_(m/g) as that value less the terms already known.  Beyond
+    ``divisors(m)`` the cost is O(len(f) + tau(m)^2), where tau(m) counts
+    the divisors of m.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
-    r = reduce_mod(f, m)
-    coeffs = [r.coefficient(j) for j in range(m)]
-    # class value per gcd; gcd(0, m) == m handles the constant class
-    class_value: dict[int, int] = {}
-    for j in range(m):
-        g = gcd(j, m)
-        if g in class_value:
-            if class_value[g] != coeffs[j]:
-                return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
-        else:
-            class_value[g] = coeffs[j]
+    r = reduce_mod(f, m).coeffs
+    n = len(r)
     divs = divisors(m)
-    # u[h] = value on the class gcd = m/h, which equals sum of a_d over h | d | m
-    u = {h: class_value[m // h] for h in divs}
-    a: dict[int, int] = {}
-    for h in divs:
-        total = 0
-        for d in divs:
-            if d % h == 0:
-                total += mobius(d // h) * u[d]
-        a[h] = total
+    value = {g: r[g % m] if g % m < n else 0 for g in divs}
+    for j, c in enumerate(r):
+        if c != value[gcd(j, m)]:
+            return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+    for g in divs:
+        if g < m and m - g >= n and value[g]:
+            return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+    # known[g] = a_(m/g); every proper divisor of g comes before g
+    known: dict[int, int] = {}
+    for g in divs:
+        total = value[g]
+        for e in known:
+            if g % e == 0:
+                total -= known[e]
+        known[g] = total
+    a = {d: known[m // d] for d in divs}
     verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
     return CspDecomposition(m, verdict, a)
 

@@ -106,13 +106,6 @@ class Partition(Value):
         parts = self.parts + (0,) * (r - len(self.parts))
         return tuple([p + r - 1 - i for i, p in enumerate(parts)])
 
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        return Partition(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
-        )
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 

@@ -3,17 +3,26 @@
 The shape oracles here work directly on cell sets and diagram surgery so
 they share no code with the bead-position implementation they check; the
 strip builders and predicates on ``SkewShape`` read row lengths only.  The
-polynomial helpers at the end (linear combinations, the divisor basis,
-q -> q^s, the q-binomial fold identity and its coefficients) build on
+polynomial helpers at the end (coefficient reads, linear combinations, the
+divisor basis, q -> q^s, the q-binomial fold identity and its
+coefficients, and the dense Mobius-inversion decomposition) build on
 ``QPoly`` only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
-from skewsieve.qpoly import QPoly, gaussian_binomial, reduce_mod
+from skewsieve.qpoly import (
+    CspDecomposition,
+    QPoly,
+    Verdict,
+    divisors,
+    gaussian_binomial,
+    reduce_mod,
+)
 from skewsieve.shapes import Partition, SkewShape
 
 
@@ -94,6 +103,15 @@ def compositions_with_parts(max_rows: int, allowed_parts):
             prefix.pop()
 
     yield from rec(max_rows, [])
+
+
+def conjugate(lam: Partition) -> Partition:
+    """The transposed diagram: part j counts the parts of lam that are >= j."""
+    if not lam.parts:
+        return Partition()
+    return Partition(
+        sum(1 for p in lam.parts if p >= j) for j in range(1, lam.parts[0] + 1)
+    )
 
 
 def cells_of(lam: tuple[int, ...], mu: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -284,6 +302,11 @@ def complex_root_value(coeffs, m: int, j: int) -> complex:
     return total
 
 
+def coefficient(f: QPoly, e: int) -> int:
+    """The coefficient of q^e in f; 0 outside the stored range."""
+    return f.coeffs[e] if 0 <= e < len(f.coeffs) else 0
+
+
 def linear_combination(terms: Iterable[tuple[int, QPoly]]) -> QPoly:
     """The sum of c * f over the (c, f) pairs, coefficient by coefficient."""
     out: list[int] = []
@@ -336,4 +359,53 @@ def a_coefficient(l: int, k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return reduce_mod(gaussian_binomial(n, k), k).coefficient(l % k)
+    return coefficient(reduce_mod(gaussian_binomial(n, k), k), l % k)
+
+
+def mobius(n: int) -> int:
+    """Classical Mobius function, by trial division."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:
+    """Reference for ``csp_decompose``: read all m reduced coefficients,
+    test constancy on every gcd class, then invert by the Mobius function
+    over the divisor lattice."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    r = reduce_mod(f, m)
+    coeffs = [coefficient(r, j) for j in range(m)]
+    # class value per gcd; gcd(0, m) == m handles the constant class
+    class_value: dict[int, int] = {}
+    for j in range(m):
+        g = gcd(j, m)
+        if g in class_value:
+            if class_value[g] != coeffs[j]:
+                return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+        else:
+            class_value[g] = coeffs[j]
+    divs = divisors(m)
+    # u[h] = value on the class gcd = m/h, which equals sum of a_d over h | d | m
+    u = {h: class_value[m // h] for h in divs}
+    a: dict[int, int] = {}
+    for h in divs:
+        total = 0
+        for d in divs:
+            if d % h == 0:
+                total += mobius(d // h) * u[d]
+        a[h] = total
+    verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
+    return CspDecomposition(m, verdict, a)

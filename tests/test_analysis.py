@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,24 @@ def test_analyze_full_path_agrees():
     full = csp_decompose(principal_specialization(big, 4), 9)
     assert full == analyze(big, 4, 9).decomposition
     assert full.coefficients == {1: 1, 3: -3, 9: 54665112}
+
+
+def test_large_modulus_costs_divisors_not_residues():
+    # the divisor basis is read one divisor of 10**7 at a time (64 of them);
+    # a list of all 10**7 reduced coefficients would trace about 85 MB
+    tracemalloc.start()
+    try:
+        rep = analyze(SkewShape.parse("2,1"), 2, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.decomposition.verdict is Verdict.NOT_PRE_CSP
+    dec = analyze(SkewShape.parse("1"), 1, 10**7).decomposition
+    assert dec.verdict is Verdict.CSP
+    divs = divisors(10**7)
+    assert len(divs) == 64
+    assert list(dec.coefficients.items()) == [(d, 1 if d == 1 else 0) for d in divs]
 
 
 def test_analyze_validates_input():

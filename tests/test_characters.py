@@ -22,6 +22,7 @@ from skewsieve.shapes import Partition, SkewShape, partition_from_beta
 
 from helpers import (
     compositions_of,
+    conjugate,
     corner_removal_count,
     diagram_signed_char,
     hook_length_count,
@@ -269,7 +270,7 @@ def test_standard_counts_match_corner_removal():
 
 
 def test_straight_shapes_beyond_the_walk_match_hook_lengths():
-    shapes = [Partition(wide).conjugate().parts for wide in partitions_of(60, 4)]
+    shapes = [conjugate(Partition(wide)).parts for wide in partitions_of(60, 4)]
     shapes += [(1,) * 60, (2,) * 30, (15,) + tuple(range(9, 0, -1)), (12, 12, 9, 9, 6, 6, 3, 3)]
     for lam in shapes:
         f = hook_length_count(lam)

@@ -12,15 +12,17 @@ from skewsieve.qpoly import (
     divisors,
     eval_at_primitive_root,
     gaussian_binomial,
-    mobius,
     reduce_mod,
 )
 
 from helpers import (
     a_coefficient,
     basis_element,
+    coefficient,
     complex_root_value,
+    csp_decompose_dense,
     linear_combination,
+    mobius,
     substitute_power,
 )
 
@@ -44,7 +46,7 @@ def test_qpoly_canonical_and_arith():
     f = QPoly([1, 2, 3])
     g = QPoly([0, 1])
     assert (f * g).coeffs == (0, 1, 2, 3)
-    assert f.coefficient(2) == 3 and f.coefficient(99) == 0
+    assert coefficient(f, 2) == 3 and coefficient(f, 99) == 0
     assert g.shift(2).coeffs == (0, 0, 0, 1)
     assert substitute_power(QPoly([1, 2]), 3).coeffs == (1, 0, 0, 2)
     for bad in ([0.5], [1, 2.0], "12"):
@@ -157,7 +159,7 @@ def test_a_coefficient():
         for n in range(1, 7):
             reduced = reduce_mod(gaussian_binomial(n, k), k)
             for l in range(k):
-                assert a_coefficient(l, k, n) == reduced.coefficient(l)
+                assert a_coefficient(l, k, n) == coefficient(reduced, l)
 
 
 def test_a_coefficient_divisor_recurrence():
@@ -197,6 +199,39 @@ def test_csp_decompose_round_trip():
                 else Verdict.PRE_CSP
             )
             assert dec.verdict is expected
+
+
+@st.composite
+def near_basis_polys(draw):
+    """An integer combination of the B_d for m <= 60, with one exponent
+    perturbed or not, and each coefficient split between its exponent e
+    and e + m or e + 2m or not, so all three verdicts and unreduced
+    inputs up to degree 3m occur."""
+    m = draw(st.integers(1, 60))
+    coords = [(draw(st.integers(-3, 9)), basis_element(m, d)) for d in divisors(m)]
+    reduced = list(linear_combination(coords).coeffs)
+    reduced += [0] * (m - len(reduced))
+    if draw(st.booleans()):
+        reduced[draw(st.integers(0, m - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    out = [0] * (3 * m)
+    unfold = draw(st.booleans())
+    for e, c in enumerate(reduced):
+        if unfold:
+            lifted = draw(st.integers(-9, 9))
+            out[e + m * draw(st.integers(1, 2))] += lifted
+            c -= lifted
+        out[e] += c
+    return QPoly(out), m
+
+
+@given(near_basis_polys())
+@settings(max_examples=300)
+def test_csp_decompose_matches_dense_mobius_inversion(case):
+    f, m = case
+    fast, dense = csp_decompose(f, m), csp_decompose_dense(f, m)
+    assert fast == dense
+    if fast.coefficients is not None:
+        assert list(fast.coefficients) == list(dense.coefficients)
 
 
 def test_decomposition_reconstructs_reduction():

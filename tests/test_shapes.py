@@ -17,6 +17,7 @@ from helpers import (
     border_strip_shape,
     cells_of,
     compositions_with_parts,
+    conjugate,
     is_border_strip_cells,
     is_horizontal_strip,
     partitions_up_to,
@@ -100,11 +101,11 @@ def test_beta_set_strictly_decreasing(parts, extra):
 
 
 def test_conjugate():
-    assert Partition([3, 1]).conjugate().parts == (2, 1, 1)
-    assert Partition().conjugate() == Partition()
+    assert conjugate(Partition([3, 1])).parts == (2, 1, 1)
+    assert conjugate(Partition()) == Partition()
     for parts in partitions_up_to(6):
         lam = Partition(parts)
-        assert lam.conjugate().conjugate() == lam
+        assert conjugate(conjugate(lam)) == lam
 
 
 def test_skew_shape_basics():
