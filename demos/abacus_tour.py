@@ -22,10 +22,10 @@ mu = Partition([2, 1, 1, 1])
 shape = SkewShape(lam, mu)
 
 print(f"outer {lam} on 3 runners with 7 beads:")
-print(display(lam, 3, 7).render())
+print(display(lam, 3, 7))
 print()
 print(f"inner {mu} with the same bead count:")
-print(display(mu, 3, 7).render())
+print(display(mu, 3, 7))
 print()
 
 print(f"3-core of outer: {core(lam, 3)}")

@@ -20,7 +20,6 @@ from .qpoly import (
     reduce_mod,
 )
 from .abacus import (
-    AbacusDisplay,
     SkewQuotient,
     core,
     display,
@@ -56,7 +55,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbacusDisplay",
     "BorderStripTableau",
     "Composition",
     "CspDecomposition",

@@ -25,29 +25,6 @@ from typing import NamedTuple
 from .shapes import Partition, SkewShape, partition_from_beta
 
 
-class AbacusDisplay(NamedTuple):
-    """d runners holding r beads at strictly decreasing positions."""
-
-    d: int
-    r: int
-    positions: tuple[int, ...]
-
-    def render(self) -> str:
-        """One text row per abacus row; beads are filled circles."""
-        beads = set(self.positions)
-        rows = (max(beads) // self.d + 1) if beads else 1
-        header = " ".join(str(t) for t in range(self.d))
-        lines = [header]
-        for row in range(rows):
-            lines.append(
-                " ".join(
-                    "●" if row * self.d + t in beads else "·"
-                    for t in range(self.d)
-                )
-            )
-        return "\n".join(lines)
-
-
 class SkewQuotient(NamedTuple):
     """Componentwise quotient of a skew shape; components is None when the
     inner and outer displays cannot be matched runner by runner."""
@@ -56,11 +33,18 @@ class SkewQuotient(NamedTuple):
     components: tuple[SkewShape, ...] | None
 
 
-def display(lam: Partition, d: int, r: int) -> AbacusDisplay:
-    """The d-abacus display of a partition using r beads (r >= length)."""
+def display(lam: Partition, d: int, r: int) -> str:
+    """The d-abacus display of a partition using r beads (r >= length) as
+    text: the runner numbers, then one row per abacus row, beads as filled
+    circles."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return AbacusDisplay(d, r, lam.beta_set(r))
+    beads = set(lam.beta_set(r))
+    rows = max(beads) // d + 1 if beads else 1
+    lines = [" ".join(str(t) for t in range(d))]
+    for row in range(rows):
+        lines.append(" ".join("●" if row * d + t in beads else "·" for t in range(d)))
+    return "\n".join(lines)
 
 
 def _on_runners(beta: tuple[int, ...], d: int) -> tuple[list[list[int]], list[list[int]]]:

@@ -20,20 +20,15 @@ from .shapes import SkewShape, is_border_strip
 class CspReport(NamedTuple):
     """Decomposition of a principal specialization plus the guarantee flags.
 
-    ``orbit_counts`` repeats the coefficients when the verdict is CSP,
-    where coefficient d counts the orbits of size d of the (cyclic) action
-    whose existence the decomposition certifies; otherwise None.
+    When the verdict is CSP, coefficient d of the decomposition counts the
+    orbits of size d of the (cyclic) action whose existence it certifies.
     """
 
-    shape: SkewShape
-    num_vars: int
-    modulus: int
     decomposition: CspDecomposition
     row_diffs_divisible: bool
     vars_divisible: bool
     border_strip: bool
     csp_guaranteed: bool
-    orbit_counts: dict[int, int] | None
 
 
 def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
@@ -51,17 +46,12 @@ def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
             f"guaranteed case came out {dec.verdict.value} for {shape}, "
             f"k={k}, m={m}; this indicates a bug in this library"
         )
-    orbit_counts = dict(dec.coefficients) if dec.verdict is Verdict.CSP else None
     return CspReport(
-        shape=shape,
-        num_vars=k,
-        modulus=m,
         decomposition=dec,
         row_diffs_divisible=row_div,
         vars_divisible=vars_div,
         border_strip=strip,
         csp_guaranteed=guaranteed,
-        orbit_counts=orbit_counts,
     )
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, _nested, _runners
 from .schur import _integer_det, _jt_count
-from .shapes import SkewShape, partition_from_beta
+from .shapes import Composition, SkewShape, partition_from_beta
 
 
 class BorderStripTableau(NamedTuple):
@@ -142,13 +142,11 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     """Character value on an arbitrary type: the signed count of tableaux
     whose label-i strip has size nu_i.
 
-    Zero parts of nu are dropped.  Strips are removed in decreasing label
-    order, so the last part of nu comes off first.
+    nu is read as a ``Composition``.  Zero parts of nu are dropped.  Strips
+    are removed in decreasing label order, so the last part of nu comes
+    off first.
     """
-    parts = tuple(nu)
-    if any(p < 0 for p in parts):
-        raise ValueError("type parts must be nonnegative")
-    sizes = tuple(p for p in parts if p > 0)
+    sizes = tuple(p for p in Composition(nu).parts if p > 0)
     if sum(sizes) != shape.size:
         raise ValueError("size mismatch: type must sum to the shape size")
     r = shape.outer.length

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain error (for example a missing quotient
 where one is required), 2 usage error, 3 internal error (a broken
 invariant inside the library, reported as one line on stderr).  All
-output is deterministic, and divisor maps are always emitted with
-ascending numeric keys.
+output is deterministic; divisor maps keep the ascending key order in
+which ``csp_decompose`` returns them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .characters import (
     skew_char_rect,
 )
 from .checks import builtin_checks
-from .qpoly import QPoly
+from .qpoly import QPoly, Verdict
 from .schur import principal_specialization
 from .shapes import Composition, Partition, SkewShape
 
@@ -74,14 +74,14 @@ def _decomposition_json(dec) -> dict:
     if dec.coefficients is None:
         out["a"] = None
     else:
-        out["a"] = {str(d): dec.coefficients[d] for d in sorted(dec.coefficients)}
+        out["a"] = {str(d): a for d, a in dec.coefficients.items()}
     return out
 
 
 def _decomposition_lines(dec) -> list[str]:
     lines = [f"verdict: {dec.verdict.value}"]
     if dec.coefficients is not None:
-        lines += [f"a_{d} = {dec.coefficients[d]}" for d in sorted(dec.coefficients)]
+        lines += [f"a_{d} = {a}" for d, a in dec.coefficients.items()]
     return lines
 
 
@@ -116,7 +116,7 @@ def _cmd_specialize(args) -> int:
         "mod": args.mod,
         "poly": _poly_json(poly),
     }
-    _emit(args, payload, poly.to_text())
+    _emit(args, payload, str(poly))
     return 0
 
 
@@ -140,9 +140,7 @@ def _cmd_analyze(args) -> int:
             "vars_divisible": report.vars_divisible,
             "border_strip": report.border_strip,
             "csp_guaranteed": report.csp_guaranteed,
-            "orbit_counts": None
-            if report.orbit_counts is None
-            else {str(d): report.orbit_counts[d] for d in sorted(report.orbit_counts)},
+            "orbit_counts": payload["a"] if dec.verdict is Verdict.CSP else None,
         }
     )
     lines = _decomposition_lines(dec)
@@ -156,9 +154,9 @@ def _cmd_quotient(args) -> int:
     if args.abacus and not args.json:
         r = args.shape.outer.length
         print("outer:")
-        print(display(args.shape.outer, args.order, max(r, 1)).render())
+        print(display(args.shape.outer, args.order, max(r, 1)))
         print("inner:")
-        print(display(args.shape.inner, args.order, max(r, 1)).render())
+        print(display(args.shape.inner, args.order, max(r, 1)))
     if not sq.exists:
         _emit(args, {"exists": False, "components": None}, "no quotient")
         return 0
@@ -170,7 +168,7 @@ def _cmd_quotient(args) -> int:
 def _cmd_core(args) -> int:
     result = core(args.partition, args.order)
     if args.abacus and not args.json:
-        print(display(args.partition, args.order, max(args.partition.length, 1)).render())
+        print(display(args.partition, args.order, max(args.partition.length, 1)))
     _emit(args, {"core": str(result)}, str(result))
     return 0
 

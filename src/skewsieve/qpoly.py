@@ -50,10 +50,6 @@ class QPoly(Value):
         object.__setattr__(self, "coeffs", coeffs[:n])
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -62,7 +58,7 @@ class QPoly(Value):
         """Multiply by q^e."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        if self.is_zero:
+        if not self:
             return self
         return QPoly((0,) * e + self.coeffs)
 
@@ -81,11 +77,8 @@ class QPoly(Value):
         return bool(self.coeffs)
 
     def __str__(self) -> str:
-        return self.to_text()
-
-    def to_text(self) -> str:
         """Sparse rendering with ascending exponents, e.g. "1 + 2*q^2 - q^3"."""
-        if self.is_zero:
+        if not self:
             return "0"
         pieces = []
         for e, c in enumerate(self.coeffs):
@@ -208,12 +201,15 @@ def eval_at_primitive_root(f: QPoly, m: int, j: int) -> int:
 
 
 def _q_binomial_at(n: int, k: int, w: int) -> int:
-    """[n + k - 1 choose n] at q = 2^(8w) for n >= 0, by the exact product
-    of (q^(n+i) - 1) / (q^i - 1) over 0 < i < k; each partial product is
-    the q-binomial [n + i choose i], so every division is exact."""
+    """[n + k - 1 choose n] at q = 2^(8w) for n >= 0.  With s <= t the
+    numbers n and k - 1, this equals [t + s choose s], the exact product of
+    (q^(t+i) - 1) / (q^i - 1) over 0 < i <= s; each partial product is the
+    q-binomial [t + i choose i], so every division is exact, and the loop
+    takes min(n, k - 1) steps."""
     bits, acc = 8 * w, 1
-    for i in range(1, k):
-        acc = ((acc << bits * (n + i)) - acc) // ((1 << bits * i) - 1)
+    s, t = (n, k - 1) if n < k else (k - 1, n)
+    for i in range(1, s + 1):
+        acc = ((acc << bits * (t + i)) - acc) // ((1 << bits * i) - 1)
     return acc
 
 

@@ -109,9 +109,6 @@ class Partition(Value):
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
 
@@ -145,9 +142,6 @@ class Composition(Value):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 class SkewShape(Value):

@@ -321,12 +321,21 @@ def substitute_power(f: QPoly, s: int) -> QPoly:
     """Replace q by q^s (s >= 1)."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    if f.is_zero or s == 1:
+    if not f or s == 1:
         return f
     out = [0] * (s * f.degree + 1)
     for e, c in enumerate(f.coeffs):
         out[s * e] = c
     return QPoly(out)
+
+
+def q_binomial_at_in_k_steps(n: int, k: int, w: int) -> int:
+    """[n + k - 1 choose n] at q = 2^(8w) as the product of
+    (q^(n+i) - 1) / (q^i - 1) over 0 < i < k, whatever the size of n."""
+    bits, acc = 8 * w, 1
+    for i in range(1, k):
+        acc = ((acc << bits * (n + i)) - acc) // ((1 << bits * i) - 1)
+    return acc
 
 
 def basis_element(m: int, d: int) -> QPoly:

@@ -23,17 +23,17 @@ from helpers import (
 
 
 def test_display_examples():
-    d = display(Partition([9, 9, 6, 6, 6, 4, 1]), 3, 7)
-    assert d.positions == (15, 14, 10, 9, 8, 5, 1)
-    assert display(Partition(), 4, 1).positions == (0,)
-    assert display(Partition([13, 10, 10, 10, 6]), 3, 5).positions == (17, 13, 12, 11, 6)
-    assert partition_from_beta(d.positions) == Partition([9, 9, 6, 6, 6, 4, 1])
+    positions = Partition([9, 9, 6, 6, 6, 4, 1]).beta_set(7)
+    assert positions == (15, 14, 10, 9, 8, 5, 1)
+    assert Partition().beta_set(1) == (0,)
+    assert Partition([13, 10, 10, 10, 6]).beta_set(5) == (17, 13, 12, 11, 6)
+    assert partition_from_beta(positions) == Partition([9, 9, 6, 6, 6, 4, 1])
     with pytest.raises(ValueError):
         display(Partition([1, 1]), 3, 1)
 
 
 def test_display_render():
-    text = display(Partition([2, 1]), 2, 2).render()
+    text = display(Partition([2, 1]), 2, 2)
     assert text == "0 1\n· ●\n· ●"
 
 

@@ -29,12 +29,14 @@ def test_analyze_headline_cases():
     assert rep.decomposition.verdict is Verdict.PRE_CSP
     assert rep.decomposition.coefficients == {1: 1, 3: -3, 9: 54665112}
     assert rep.row_diffs_divisible and not rep.vars_divisible
-    assert not rep.csp_guaranteed and rep.orbit_counts is None
+    assert not rep.csp_guaranteed and rep.decomposition.verdict is not Verdict.CSP
 
-    rep = analyze(SkewShape(Partition([12, 12, 4]), Partition([8, 4])), 6, 4)
+    shape = SkewShape(Partition([12, 12, 4]), Partition([8, 4]))
+    rep = analyze(shape, 6, 4)
     assert rep.decomposition.verdict is Verdict.CSP
     assert rep.decomposition.coefficients == {1: 12, 2: 264, 4: 1576440}
-    assert rep.orbit_counts == {1: 12, 2: 264, 4: 1576440}
+    # under CSP, a_d counts the orbits of size d, which cover every filling
+    assert sum(d * a for d, a in rep.decomposition.coefficients.items()) == count_ssyt(shape, 6)
 
 
 def test_analyze_trivial_shape():
@@ -142,7 +144,7 @@ def test_orbit_counts_sum_to_the_set_size():
                     total = sum(
                         d * a for d, a in rep.decomposition.coefficients.items()
                     ) if rep.decomposition.coefficients else None
-                    if rep.orbit_counts is not None:
+                    if rep.decomposition.verdict is Verdict.CSP:
                         assert total == count_ssyt(shape, k)
                     if rep.decomposition.coefficients is not None:
                         assert total == sum(principal_specialization(shape, k).coeffs)

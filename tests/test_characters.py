@@ -178,6 +178,14 @@ def test_skew_char_general():
                 assert skew_char(shape, (d,) * m) == skew_char_rect(shape, d).value
 
 
+def test_skew_char_rejects_a_non_integer_type():
+    # the type is read as a Composition, like every other route's integers
+    with pytest.raises(TypeError):
+        skew_char(SkewShape.parse("2,1"), [1.5, 1.5])
+    with pytest.raises(ValueError):
+        skew_char(SkewShape.parse("2,1"), [4, -1])
+
+
 def test_skew_char_matches_diagram_surgery_on_arbitrary_types():
     for lam in partitions_up_to(6):
         for mu in subpartitions(lam):

@@ -83,6 +83,35 @@ def test_analyze_json(capsys):
     assert payload["orbit_counts"] == payload["a"]
 
 
+def test_analyze_divisor_keys_ascend_past_one_digit(capsys):
+    argv = ["analyze", "--shape", "12", "--vars", "12", "--mod", "12"]
+    code, out, _ = invoke(capsys, argv + ["--json"])
+    assert code == 0
+    payload = json.loads(out)
+    expected = [("1", 1), ("2", 1), ("3", 3), ("4", 8), ("6", 75), ("12", 112632)]
+    assert payload["verdict"] == "csp"
+    assert list(payload["a"].items()) == expected
+    assert list(payload["orbit_counts"].items()) == expected
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:] == [f"a_{d} = {a}" for d, a in expected] + ["csp guaranteed: yes"]
+
+
+def test_specialize_many_variables_answers_fast():
+    # a q-binomial with n far below k costs n steps, not k - 1
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewsieve", "specialize", "--shape", "1", "--vars", "20000", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["poly"]) == 20000
+
+
 def test_analyze_shifted(capsys):
     code, out, _ = invoke(
         capsys,

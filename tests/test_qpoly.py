@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
+    _q_binomial_at,
     csp_decompose,
     divisors,
     eval_at_primitive_root,
@@ -23,6 +24,7 @@ from helpers import (
     csp_decompose_dense,
     linear_combination,
     mobius,
+    q_binomial_at_in_k_steps,
     substitute_power,
 )
 
@@ -40,7 +42,7 @@ def multiset_gaussian_oracle(n, k):
 
 def test_qpoly_canonical_and_arith():
     assert QPoly([0, 1, 0, 0]).coeffs == (0, 1)
-    assert QPoly().is_zero
+    assert not QPoly()
     assert QPoly([1, 2]).degree == 1
     assert QPoly().degree == -1
     f = QPoly([1, 2, 3])
@@ -70,12 +72,12 @@ def test_qpoly_is_a_frozen_value():
 
 
 def test_qpoly_text():
-    assert QPoly().to_text() == "0"
-    assert QPoly([1, 1]).to_text() == "1 + q"
-    assert QPoly([0, 0, 1]).to_text() == "q^2"
-    assert QPoly([-3, 2]).to_text() == "-3 + 2*q"
-    assert QPoly([1, 1, 2, 1, 1]).to_text() == "1 + q + 2*q^2 + q^3 + q^4"
-    assert QPoly([0, -1, 0, 4]).to_text() == "-q + 4*q^3"
+    assert str(QPoly()) == "0"
+    assert str(QPoly([1, 1])) == "1 + q"
+    assert str(QPoly([0, 0, 1])) == "q^2"
+    assert str(QPoly([-3, 2])) == "-3 + 2*q"
+    assert str(QPoly([1, 1, 2, 1, 1])) == "1 + q + 2*q^2 + q^3 + q^4"
+    assert str(QPoly([0, -1, 0, 4])) == "-q + 4*q^3"
 
 
 def test_reduce_mod_examples():
@@ -128,7 +130,7 @@ def test_basis_element():
 def test_gaussian_binomial_examples():
     assert gaussian_binomial(2, 3) == QPoly([1, 1, 2, 1, 1])
     assert gaussian_binomial(0, 4) == QPoly([1])
-    assert gaussian_binomial(-5, 6).is_zero
+    assert not gaussian_binomial(-5, 6)
     assert gaussian_binomial(3, 1) == QPoly([1])
     # deeper than the interpreter's recursion limit
     assert gaussian_binomial(2000, 2) == QPoly([1] * 2001)
@@ -140,6 +142,14 @@ def test_gaussian_binomial_matches_multiset_enumeration():
     for n in range(0, 7):
         for k in range(1, 7):
             assert gaussian_binomial(n, k) == multiset_gaussian_oracle(n, k)
+
+
+def test_q_binomial_value_matches_the_k_step_product():
+    # the loop runs over min(n, k - 1) factors; the oracle always takes k - 1
+    for w in (1, 2, 3, 5):
+        for n in range(40):
+            for k in range(1, 40):
+                assert _q_binomial_at(n, k, w) == q_binomial_at_in_k_steps(n, k, w)
 
 
 def test_gaussian_binomial_shape_properties():

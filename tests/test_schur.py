@@ -73,7 +73,7 @@ def test_jt_matrix_of_border_strip_is_banded():
 
 def test_principal_specialization_basics():
     assert principal_specialization(SkewShape.parse("1"), 2) == QPoly([1, 1])
-    assert principal_specialization(SkewShape.parse("1,1"), 1).is_zero
+    assert not principal_specialization(SkewShape.parse("1,1"), 1)
     lam = Partition([3, 1])
     assert principal_specialization(SkewShape(lam, lam), 5) == QPoly([1])
     with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_ssyt_iteration_is_valid_and_lexicographic():
 
 
 def test_ssyt_generating_function_edge_cases():
-    assert ssyt_generating_function(SkewShape.parse("1,1"), 1).is_zero
+    assert not ssyt_generating_function(SkewShape.parse("1,1"), 1)
     lam = Partition([2, 2])
     assert ssyt_generating_function(SkewShape(lam, lam), 3) == QPoly([1])
     # more cells than the interpreter's recursion limit
