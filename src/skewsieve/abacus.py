@@ -7,15 +7,16 @@ beta-sets.  Removing a border strip of size d from the diagram is the
 same as sliding one bead down its runner by a single row, which is how
 every strip-removal computation here works; diagrams never enter into it.
 
-Every route here reads its beads through one primitive, which takes a
-beta-set from ``Partition.beta_set`` onto the runners: per runner, the bead
-rows (the beta-set of that quotient component) and the indices of the beta
-numbers there.  ``quotient`` and ``core`` read one display.  For skew
-computations the bead count r is always the outer length, so the outer
-and inner displays stay aligned; read together, they feed the skew
-quotient, the runner classes of the outer beads, the single strip
-removals, and the matching permutation and quotient-theorem counts in
-``characters``.
+Every route reads only the beads: one primitive takes a beta-set from
+``Partition.beta_set`` onto the occupied runners, and ``quotient`` and
+``core`` read one display through it.  For skew computations
+``SkewShape.beta_sets`` aligns the two displays and one pass pairs them
+as the d-quotient theorem states, the k-th outer bead on a runner with
+the k-th inner bead there: the cores agree when the counts do, the
+pairing is then the matching permutation, and the quotient exists when
+every outer bead lies at or beyond its partner.  That pass costs O(l) in
+the l beads, whatever d is; only the d-tuple outputs (``quotient``,
+``skew_quotient``, ``runner_classes``, ``display``) visit every runner.
 """
 
 from __future__ import annotations
@@ -47,17 +48,13 @@ def display(lam: Partition, d: int, r: int) -> str:
     return "\n".join(lines)
 
 
-def _on_runners(beta: tuple[int, ...], d: int) -> tuple[list[list[int]], list[list[int]]]:
-    """A strictly decreasing beta-set read onto d runners.  Two lists by
-    runner: the rows of the beads there (decreasing) and their indices in
-    ``beta`` (increasing)."""
-    rows: list[list[int]] = [[] for _ in range(d)]
-    at: list[list[int]] = [[] for _ in range(d)]
+def _on_runners(beta: tuple[int, ...], d: int) -> dict[int, list[int]]:
+    """The occupied runners of a beta-set's d-display, each with the
+    indices in ``beta`` of its beads, increasing (so their rows decrease)."""
+    runners: dict[int, list[int]] = {}
     for i, p in enumerate(beta):
-        row, t = divmod(p, d)
-        rows[t].append(row)
-        at[t].append(i)
-    return rows, at
+        runners.setdefault(p % d, []).append(i)
+    return runners
 
 
 def quotient(lam: Partition, d: int, r: int) -> tuple[Partition, ...]:
@@ -68,37 +65,48 @@ def quotient(lam: Partition, d: int, r: int) -> tuple[Partition, ...]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    rows, _ = _on_runners(lam.beta_set(r), d)
-    return tuple(partition_from_beta(rs) for rs in rows)
+    beta = lam.beta_set(r)
+    runners = _on_runners(beta, d)
+    return tuple(partition_from_beta([beta[i] // d for i in runners.get(t, ())])
+                 for t in range(d))
 
 
 def core(lam: Partition, d: int) -> Partition:
     """The d-core: every bead pushed as far up its runner as it goes."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    r = max(lam.length, 1)
-    rows, _ = _on_runners(lam.beta_set(r), d)
-    packed = [t + d * j for t, rs in enumerate(rows) for j in range(len(rs))]
-    return partition_from_beta(packed)
+    runners = _on_runners(lam.beta_set(max(lam.length, 1)), d)
+    return partition_from_beta([t + d * j for t, at in runners.items() for j in range(len(at))])
 
 
-def _runners(shape: SkewShape, d: int) -> tuple[list[list[int]], ...]:
-    """Both displays (r = outer length) read onto the runners.  Four lists
-    by runner: the outer and the inner bead rows, each decreasing, then the
-    rows of the shape (0-based) whose outer and whose inner bead is there."""
+def _runners(
+    shape: SkewShape, d: int
+) -> tuple[dict[int, tuple[list[int], list[int]]] | None, tuple[int, ...] | None]:
+    """The d-quotient theorem on the aligned displays, in one pass.
+
+    Returns (components, matching).  ``components`` maps each occupied
+    runner to its outer and inner bead rows, each decreasing (the beta-sets
+    of that quotient component); it is None when the quotient is missing.
+    ``matching`` is the one-line permutation pairing, runner by runner and
+    in increasing order, the rows whose outer beads and whose inner beads
+    sit there; it is None when the cores differ.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    l = shape.outer.length
-    outer_rows, outer_at = _on_runners(shape.outer.beta_set(l), d)
-    inner_rows, inner_at = _on_runners(shape.inner.beta_set(l), d)
-    return outer_rows, inner_rows, outer_at, inner_at
-
-
-def _nested(outer_rows: list[list[int]], inner_rows: list[list[int]]) -> bool:
-    """True iff the quotient exists: every runner carries as many inner as
-    outer beads, the k-th inner one no lower than the k-th outer one."""
-    return all(len(a) == len(b) and all(x >= y for x, y in zip(a, b))
-               for a, b in zip(outer_rows, inner_rows))
+    outer, inner = shape.beta_sets()
+    outer_on, inner_on = _on_runners(outer, d), _on_runners(inner, d)
+    # both displays hold l beads, so equal counts on the outer runners are equal cores
+    if any(len(at) != len(inner_on.get(t, ())) for t, at in outer_on.items()):
+        return None, None
+    image = [0] * len(outer)
+    for t, at in outer_on.items():
+        for i, j in zip(at, inner_on[t]):
+            image[i] = j + 1
+    matching = tuple(image)
+    if any(outer[i] < inner[j - 1] for i, j in enumerate(matching)):
+        return None, matching
+    return {t: ([outer[i] // d for i in at], [inner[j] // d for j in inner_on[t]])
+            for t, at in outer_on.items()}, matching
 
 
 def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:
@@ -107,17 +115,23 @@ def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:
     Exists only if each runner carries the same number of beads in both
     displays (equal d-cores) and the component shapes nest.
     """
-    outer_rows, inner_rows, _, _ = _runners(shape, d)
-    if not _nested(outer_rows, inner_rows):
+    components, _ = _runners(shape, d)
+    if components is None:
         return SkewQuotient(False, None)
+    rows = [components.get(t, ((), ())) for t in range(d)]
     return SkewQuotient(True, tuple(SkewShape(partition_from_beta(a), partition_from_beta(b))
-                                    for a, b in zip(outer_rows, inner_rows)))
+                                    for a, b in rows))
 
 
 def runner_classes(shape: SkewShape, d: int) -> tuple[tuple[int, ...], ...]:
     """Partition the row indices 1..length by the runner of their outer bead."""
-    outer_at = _runners(shape, d)[2]
-    return tuple(tuple(i + 1 for i in c) for c in outer_at)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    outer, _ = shape.beta_sets()
+    classes: list[list[int]] = [[] for _ in range(d)]
+    for i, p in enumerate(outer):
+        classes[p % d].append(i + 1)
+    return tuple(map(tuple, classes))
 
 
 def _legal_moves(
@@ -157,9 +171,9 @@ def remove_strip_moves(lam: Partition, d: int, target_mu: Partition) -> list[tup
     bead per row of ``lam``.  Raises if no removal sequence from ``lam``
     down to ``target_mu`` can exist at all.
     """
-    outer_rows, inner_rows, _, _ = _runners(SkewShape(lam, target_mu), d)
-    if not _nested(outer_rows, inner_rows):
+    shape = SkewShape(lam, target_mu)
+    components, _ = _runners(shape, d)
+    if components is None:
         raise ValueError("no removal sequence")
-    beta = lam.beta_set(lam.length)
-    target = target_mu.beta_set(lam.length)
+    beta, target = shape.beta_sets()
     return [(p, height) for p, height, _ in _legal_moves(beta, d, target)]

@@ -7,8 +7,9 @@ tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
 times Aitken determinants for their standard fillings) and the sign from
 the residue-class matching permutation.  Both, and the root-of-unity
-values, are read from the bead rows of each runner, which are the
-components' beta-sets, so no component shape is built.  Only arbitrary
+values, are read from the one pairing pass ``abacus._runners``: the bead
+rows of each occupied runner are the components' beta-sets, so no
+component shape is built, and no empty runner is visited.  Only arbitrary
 types and the explicit tableau listing walk the reachable bead
 configurations, and those two walks are the independent oracles for the
 closed form.  Both are loops, so the number of strips is not bounded by
@@ -23,7 +24,7 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .abacus import _legal_moves, _nested, _runners
+from .abacus import _legal_moves, _runners
 from .schur import _integer_det, _jt_count
 from .shapes import Composition, SkewShape, partition_from_beta
 
@@ -48,19 +49,6 @@ class SkewCharValue(NamedTuple):
     epsilon: int
 
 
-def _strip_cells(before: tuple[int, ...], after: tuple[int, ...]) -> frozenset:
-    """Diagram difference of the partitions encoded by two equal-length
-    beta tuples, as 1-based cells."""
-    old = partition_from_beta(before)
-    new = partition_from_beta(after)
-    r = len(before)
-    cells = []
-    for i in range(1, r + 1):
-        for j in range(new.part(i - 1) + 1, old.part(i - 1) + 1):
-            cells.append((i, j))
-    return frozenset(cells)
-
-
 def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     """All border-strip tableaux of type (d^m), m = size / d.
 
@@ -71,35 +59,28 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if shape.size % d != 0 or not _nested(*_runners(shape, d)[:2]):
+    if shape.size % d != 0 or _runners(shape, d)[0] is None:
         return
-    r = shape.outer.length
-    start = shape.outer.beta_set(r)
-    target = shape.inner.beta_set(r)
+    start, target = shape.beta_sets()
     if start == target:
         yield BorderStripTableau((), ())
         return
-    # stack[i] holds a configuration and its untried moves; removed[i] is
-    # the strip (cells, height) that led from stack[i] to stack[i + 1]
-    stack = [(start, iter(_legal_moves(start, d, target)))]
-    removed: list[tuple[frozenset, int]] = []
+    # each entry: a configuration, its untried moves, and the strips and
+    # heights removed on the way there, the last removed first
+    stack = [(start, iter(_legal_moves(start, d, target)), (), ())]
     while stack:
-        beta, moves = stack[-1]
+        beta, moves, strips, heights = stack[-1]
         move = next(moves, None)
         if move is None:
             stack.pop()
-            if removed:
-                removed.pop()
             continue
         _, height, new = move
-        removed.append((_strip_cells(beta, new), height))
+        cells = SkewShape(partition_from_beta(beta), partition_from_beta(new)).cells()
+        done = (frozenset(cells),) + strips, (height,) + heights
         if new == target:
-            strips = tuple(cells for cells, _ in reversed(removed))
-            heights = tuple(h for _, h in reversed(removed))
-            yield BorderStripTableau(strips, heights)
-            removed.pop()
+            yield BorderStripTableau(*done)
         else:
-            stack.append((new, iter(_legal_moves(new, d, target))))
+            stack.append((new, iter(_legal_moves(new, d, target)), *done))
 
 
 def _standard_count(tops: list[int], bottoms: list[int], size: int) -> int:
@@ -126,15 +107,15 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
         raise ValueError("d must be >= 1")
     if shape.size % d != 0:
         raise ValueError("size mismatch: strip size must divide the shape size")
-    outer_rows, inner_rows, outer_at, inner_at = _runners(shape, d)
-    if not _nested(outer_rows, inner_rows):
+    components, matching = _runners(shape, d)
+    if components is None:
         return SkewCharValue(0, 0, 0)
     count, placed = 1, 0
-    for a, b in zip(outer_rows, inner_rows):
+    for a, b in components.values():
         size = sum(a) - sum(b)
         placed += size
         count *= comb(placed, size) * _standard_count(a, b, size)
-    sign = permutation_sign(_matching(outer_at, inner_at, shape.outer.length))
+    sign = permutation_sign(matching)
     return SkewCharValue(sign * count, count, sign)
 
 
@@ -149,10 +130,9 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     sizes = tuple(p for p in Composition(nu).parts if p > 0)
     if sum(sizes) != shape.size:
         raise ValueError("size mismatch: type must sum to the shape size")
-    r = shape.outer.length
-    target = shape.inner.beta_set(r)
+    start, target = shape.beta_sets()
     # signed tableau counts per bead configuration after each strip
-    counts = {shape.outer.beta_set(r): 1}
+    counts = {start: 1}
     for size in reversed(sizes):
         reached: dict[tuple[int, ...], int] = {}
         for beta, count in counts.items():
@@ -162,27 +142,19 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     return counts.get(target, 0)
 
 
-def _matching(outer_at: list[list[int]], inner_at: list[list[int]], l: int) -> tuple[int, ...]:
-    """The one-line form pairing, runner by runner, the rows whose outer
-    beads and the rows whose inner beads sit there, in increasing order."""
-    image = [0] * l
-    for a, b in zip(outer_at, inner_at):
-        if len(a) != len(b):
-            raise ValueError("cores differ")
-        for src, dst in zip(a, b):
-            image[src] = dst + 1
-    return tuple(image)
-
-
 def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
     """Match rows of the outer and inner displays within each residue class.
 
     Row i carries the beta value part_i + length - i; rows are grouped by
     that value mod d for outer and inner separately, and the increasing
     enumerations of matching classes are paired off.  The result is the
-    one-line form (image of 1, image of 2, ...).
+    one-line form (image of 1, image of 2, ...).  Raises when the d-cores
+    differ, since the classes then have different sizes.
     """
-    return _matching(*_runners(shape, d)[2:], shape.outer.length)
+    _, matching = _runners(shape, d)
+    if matching is None:
+        raise ValueError("cores differ")
+    return matching
 
 
 def permutation_sign(pi: tuple[int, ...]) -> int:
@@ -217,16 +189,15 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
         raise ValueError("n_vars and d must be >= 1")
     if n_vars % d != 0:
         raise ValueError("d must divide the number of variables")
-    outer_rows, inner_rows, outer_at, inner_at = _runners(shape, d)
-    if not _nested(outer_rows, inner_rows):
+    components, matching = _runners(shape, d)
+    if components is None:
         return 0
     if shape.size % d != 0:
         raise RuntimeError("a quotient exists but d does not divide the size")
-    sign = permutation_sign(_matching(outer_at, inner_at, shape.outer.length))
     product = 1
-    for a, b in zip(outer_rows, inner_rows):
+    for a, b in components.values():
         product *= _jt_count(a, b, n_vars // d)
-    return sign * product
+    return permutation_sign(matching) * product
 
 
 def kostka_foulkes_rect_at_root(shape: SkewShape, n_vars: int, m: int) -> int:

@@ -121,6 +121,9 @@ def _cmd_specialize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # ``divisors`` trial-divides up to the square root of the modulus
+    if args.mod > 10**12:
+        raise ValueError(f"--mod {args.mod} is above the limit of 10^12 for analyze")
     if args.shift is not None:
         dec = analyze_shifted(args.shape, args.vars, args.mod, args.shift)
         payload = {"shape": str(args.shape), "vars": args.vars, "shift": args.shift}

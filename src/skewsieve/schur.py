@@ -27,9 +27,8 @@ def jt_matrix(shape: SkewShape) -> tuple[tuple[int, ...], ...]:
     """The Jacobi-Trudi index matrix as row tuples: entry (i, j) is
     a_i - b_j = outer_i - inner_j + j - i, over the beta-sets at the
     outer length."""
-    l = shape.outer.length
-    bottoms = shape.inner.beta_set(l)
-    return tuple(tuple(a - b for b in bottoms) for a in shape.outer.beta_set(l))
+    tops, bottoms = shape.beta_sets()
+    return tuple(tuple(a - b for b in bottoms) for a in tops)
 
 
 def _integer_det(rows: list[list[int]]) -> int:
@@ -83,9 +82,7 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
         raise ValueError("modulus must be positive")
     count = count_ssyt(shape, k)
     w = count.bit_length() // 8 + 1
-    l = shape.outer.length
-    det = _jt_det(shape.outer.beta_set(l), shape.inner.beta_set(l),
-                  lambda e: _q_binomial_at(e, k, w))
+    det = _jt_det(*shape.beta_sets(), lambda e: _q_binomial_at(e, k, w))
     if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
@@ -167,5 +164,4 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    l = shape.outer.length
-    return _jt_count(shape.outer.beta_set(l), shape.inner.beta_set(l), k)
+    return _jt_count(*shape.beta_sets(), k)

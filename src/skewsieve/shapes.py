@@ -6,7 +6,8 @@ one shape predicate, which ``analysis`` reads.  All values are immutable
 after construction and safe to share between threads.  Constructors take
 integers only: a float or a string is a ``TypeError``, never truncated.
 ``Partition.beta_set`` is the one place that encodes a shape as bead
-positions, and ``partition_from_beta`` reads them back.
+positions, ``SkewShape.beta_sets`` the one place that aligns the outer and
+inner displays, and ``partition_from_beta`` reads them back.
 
 Text formats: a partition is written as comma-separated parts, e.g.
 ``"9,9,6,6,6,4,1"``; the empty partition is ``""`` or ``"0"``.  A skew
@@ -189,6 +190,12 @@ class SkewShape(Value):
             lo, hi = self.row_interval(i)
             out.extend((i, j) for j in range(lo + 1, hi + 1))
         return out
+
+    def beta_sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The outer and inner beta-sets, both with one bead per row of the
+        outer shape, so bead i of each belongs to row i + 1."""
+        l = self.outer.length
+        return self.outer.beta_set(l), self.inner.beta_set(l)
 
     def row_diffs(self) -> tuple[int, ...]:
         inner = self.inner

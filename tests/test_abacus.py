@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from skewsieve.abacus import (
@@ -9,7 +11,7 @@ from skewsieve.abacus import (
     runner_classes,
     skew_quotient,
 )
-from skewsieve.characters import perm
+from skewsieve.characters import eval_at_root, perm, skew_char_rect
 from skewsieve.shapes import Partition, SkewShape, partition_from_beta
 
 from helpers import (
@@ -132,6 +134,57 @@ def test_skew_quotient_exists_iff_diagram_peel_reaches_inner():
                     assert not exists
                 else:
                     assert exists == diagram_peel_exists(lam, mu, d)
+
+
+def test_matching_pairs_rows_within_residue_classes():
+    """The d-quotient theorem read on the parts, apart from the bead pass:
+    perm pairs the rows of lambda and mu whose lambda_i - i and mu_j - j
+    agree mod d, increasing within each class, exactly when the cores
+    agree; the quotient exists exactly when each lambda_i - i is at least
+    its partner's mu_j - j."""
+    cores = {(p, d): diagram_core(p, d) for p in partitions_up_to(9) for d in range(1, 6)}
+    for lam in partitions_up_to(9):
+        l = len(lam)
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            a = [lam[i - 1] - i for i in range(1, l + 1)]
+            b = [(mu[i - 1] if i <= len(mu) else 0) - i for i in range(1, l + 1)]
+            for d in range(1, 6):
+                if cores[lam, d] != cores[mu, d]:
+                    with pytest.raises(ValueError, match="cores differ"):
+                        perm(shape, d)
+                    assert not skew_quotient(shape, d).exists
+                    continue
+                pi = perm(shape, d)
+                assert sorted(pi) == list(range(1, l + 1))
+                partner = [b[j - 1] for j in pi]
+                assert all((x - y) % d == 0 for x, y in zip(a, partner))
+                assert all(pi[i] < pi[j] for i in range(l) for j in range(i + 1, l)
+                           if (a[i] - a[j]) % d == 0)
+                assert skew_quotient(shape, d).exists == all(x >= y for x, y in zip(a, partner))
+
+
+def test_quotient_routes_cost_nothing_per_empty_runner():
+    # each call holds one to seven beads; a list per runner would take megabytes
+    d = 200_000
+    cases = [
+        (lambda: perm(SkewShape.parse("3,1"), d), "cores differ"),
+        (lambda: eval_at_root(SkewShape.parse("4,4/1"), d, d), 0),
+        (lambda: core(Partition([9, 9, 6, 6, 6, 4, 1]), d), Partition([9, 9, 6, 6, 6, 4, 1])),
+        (lambda: skew_char_rect(SkewShape(Partition([d])), d), (1, 1, 1)),
+    ]
+    for call, expected in cases:
+        tracemalloc.start()
+        try:
+            try:
+                result = call()
+            except ValueError as exc:
+                result = str(exc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 2**20
 
 
 def test_runner_classes_example():

@@ -376,6 +376,17 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_analyze_modulus_is_bounded(capsys):
+    # the limit is checked before any work, so a huge modulus answers at once
+    for mod in (10**12 + 1, 10**20):
+        code, out, err = invoke(capsys, ["analyze", "--shape", "2,1", "--vars", "2", "--mod", str(mod)])
+        assert (code, out) == (1, "")
+        assert err == f"error: --mod {mod} is above the limit of 10^12 for analyze\n"
+    code, out, err = invoke(capsys, ["analyze", "--shape", "2,1", "--vars", "2", "--mod", str(10**12)])
+    assert code == 0 and err == ""
+    assert out.startswith("verdict: ")
+
+
 def test_internal_errors_exit_3(capsys, monkeypatch):
     import skewsieve.characters as characters
     import skewsieve.cli as cli
@@ -392,10 +403,10 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     assert err == "internal error: guaranteed case came out pre-csp\n"
 
     # a quotient for a size d does not divide: eval-root checks it even under -O
-    monkeypatch.setattr(characters, "_nested", lambda outer_rows, inner_rows: True)
+    monkeypatch.setattr(characters, "_runners", lambda shape, d: ({0: ([1], [0])}, (1,)))
     code, out, err = invoke(capsys, ["eval-root", "--shape", "1", "--vars", "2", "--order", "2"])
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert err == "internal error: a quotient exists but d does not divide the size\n"
 
     # determinant digits that do not add up to the filling count
     count = schur.count_ssyt
