@@ -8,15 +8,16 @@ same as sliding one bead down its runner by a single row, which is how
 every strip-removal computation here works; diagrams never enter into it.
 
 Every route reads only the beads: one primitive takes a beta-set from
-``Partition.beta_set`` onto the occupied runners, and ``quotient`` and
-``core`` read one display through it.  For skew computations
-``SkewShape.beta_sets`` aligns the two displays and one pass pairs them
-as the d-quotient theorem states, the k-th outer bead on a runner with
-the k-th inner bead there: the cores agree when the counts do, the
-pairing is then the matching permutation, and the quotient exists when
-every outer bead lies at or beyond its partner.  That pass costs O(l) in
-the l beads, whatever d is; only the d-tuple outputs (``quotient``,
-``skew_quotient``, ``runner_classes``, ``display``) visit every runner.
+``Partition.beta_set`` onto the occupied runners, and ``quotient``,
+``core`` and ``runner_classes`` read one display through it.  For skew
+computations ``SkewShape.beta_sets`` aligns the two displays and one pass
+pairs them as the d-quotient theorem states, the k-th outer bead on a
+runner with the k-th inner bead there: the cores agree when the counts
+do, the pairing is then the matching permutation, and the quotient
+exists when every outer bead lies at or beyond its partner.  That pass
+costs O(l) in the l beads, whatever d is; only the d-tuple outputs
+(``quotient``, ``skew_quotient``, ``runner_classes``, ``display``) visit
+every runner.
 """
 
 from __future__ import annotations
@@ -128,10 +129,8 @@ def runner_classes(shape: SkewShape, d: int) -> tuple[tuple[int, ...], ...]:
     if d < 1:
         raise ValueError("d must be >= 1")
     outer, _ = shape.beta_sets()
-    classes: list[list[int]] = [[] for _ in range(d)]
-    for i, p in enumerate(outer):
-        classes[p % d].append(i + 1)
-    return tuple(map(tuple, classes))
+    runners = _on_runners(outer, d)
+    return tuple(tuple(i + 1 for i in runners.get(t, ())) for t in range(d))
 
 
 def _legal_moves(

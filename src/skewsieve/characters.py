@@ -158,14 +158,18 @@ def perm(shape: SkewShape, d: int) -> tuple[int, ...]:
 
 
 def permutation_sign(pi: tuple[int, ...]) -> int:
-    """Sign via inversion count of the one-line form."""
-    inv = sum(
-        1
-        for i in range(len(pi))
-        for j in range(i + 1, len(pi))
-        if pi[i] > pi[j]
-    )
-    return -1 if inv % 2 else 1
+    """Sign of the one-line form (values 1..l) from its cycles, in O(l): a
+    permutation with c cycles is a product of l - c transpositions."""
+    seen = [False] * len(pi)
+    transpositions = len(pi)
+    for start in range(len(pi)):
+        if not seen[start]:
+            transpositions -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = pi[i] - 1
+    return -1 if transpositions % 2 else 1
 
 
 def one_line_string(pi: tuple[int, ...]) -> str:

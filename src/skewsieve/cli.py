@@ -1,10 +1,13 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required), 2 usage error, 3 internal error (a broken
-invariant inside the library, reported as one line on stderr).  All
-output is deterministic; divisor maps keep the ascending key order in
-which ``csp_decompose`` returns them.
+where one is required, or a flag past its budget), 2 usage error, 3
+internal error (a broken invariant inside the library, reported as one
+line on stderr).  argparse raises every usage error.  A command returns
+its JSON payload and its text (``verify`` also its exit code), and ``run``
+writes one of them to stdout once, after the command succeeds, so an
+error leaves stdout empty.  All output is deterministic; divisor maps
+keep the ascending key order in which ``csp_decompose`` returns them.
 """
 
 from __future__ import annotations
@@ -69,20 +72,20 @@ def _poly_json(poly: QPoly) -> dict[str, int]:
     return {str(e): c for e, c in enumerate(poly.coeffs) if c != 0}
 
 
-def _decomposition_json(dec) -> dict:
-    out: dict = {"m": dec.m, "verdict": dec.verdict.value}
-    if dec.coefficients is None:
-        out["a"] = None
-    else:
-        out["a"] = {str(d): a for d, a in dec.coefficients.items()}
-    return out
+def _at_most(flag: str, value: int, power: int, command: str) -> None:
+    """Reject a flag value past its budget before any work is done."""
+    if value > 10**power:
+        raise ValueError(f"{flag} {value} is above the limit of 10^{power} for {command}")
 
 
-def _decomposition_lines(dec) -> list[str]:
+def _decomposition(dec) -> tuple[dict, list[str]]:
+    """The JSON fields and the text lines of a decomposition."""
     lines = [f"verdict: {dec.verdict.value}"]
+    a = None
     if dec.coefficients is not None:
-        lines += [f"a_{d} = {a}" for d, a in dec.coefficients.items()]
-    return lines
+        a = {str(d): c for d, c in dec.coefficients.items()}
+        lines += [f"a_{d} = {c}" for d, c in a.items()]
+    return {"m": dec.m, "verdict": dec.verdict.value, "a": a}, lines
 
 
 def _bst_grid(tableau, shape: SkewShape) -> str:
@@ -101,14 +104,7 @@ def _bst_grid(tableau, shape: SkewShape) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
-def _cmd_specialize(args) -> int:
+def _cmd_specialize(args):
     poly = principal_specialization(args.shape, args.vars, mod=args.mod)
     payload = {
         "shape": str(args.shape),
@@ -116,67 +112,61 @@ def _cmd_specialize(args) -> int:
         "mod": args.mod,
         "poly": _poly_json(poly),
     }
-    _emit(args, payload, str(poly))
-    return 0
+    return payload, str(poly)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     # ``divisors`` trial-divides up to the square root of the modulus
-    if args.mod > 10**12:
-        raise ValueError(f"--mod {args.mod} is above the limit of 10^12 for analyze")
+    _at_most("--mod", args.mod, 12, "analyze")
+    payload = {"shape": str(args.shape), "vars": args.vars}
     if args.shift is not None:
-        dec = analyze_shifted(args.shape, args.vars, args.mod, args.shift)
-        payload = {"shape": str(args.shape), "vars": args.vars, "shift": args.shift}
-        payload.update(_decomposition_json(dec))
-        _emit(args, payload, "\n".join(_decomposition_lines(dec)))
-        return 0
+        payload["shift"] = args.shift
+        fields, lines = _decomposition(analyze_shifted(args.shape, args.vars, args.mod, args.shift))
+        payload.update(fields)
+        return payload, "\n".join(lines)
     report = analyze(args.shape, args.vars, args.mod)
-    dec = report.decomposition
-    payload = {
-        "shape": str(args.shape),
-        "vars": args.vars,
-    }
-    payload.update(_decomposition_json(dec))
+    fields, lines = _decomposition(report.decomposition)
+    payload.update(fields)
     payload.update(
         {
             "row_diffs_divisible": report.row_diffs_divisible,
             "vars_divisible": report.vars_divisible,
             "border_strip": report.border_strip,
             "csp_guaranteed": report.csp_guaranteed,
-            "orbit_counts": payload["a"] if dec.verdict is Verdict.CSP else None,
+            "orbit_counts": fields["a"] if report.decomposition.verdict is Verdict.CSP else None,
         }
     )
-    lines = _decomposition_lines(dec)
     lines.append(f"csp guaranteed: {'yes' if report.csp_guaranteed else 'no'}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args):
+    # the answer is D components, the displays D columns wide
+    _at_most("--order", args.order, 5, "quotient")
+    text = ""
+    if args.abacus:
+        r = max(args.shape.outer.length, 1)
+        text = (
+            f"outer:\n{display(args.shape.outer, args.order, r)}\n"
+            f"inner:\n{display(args.shape.inner, args.order, r)}\n"
+        )
     sq = skew_quotient(args.shape, args.order)
-    if args.abacus and not args.json:
-        r = args.shape.outer.length
-        print("outer:")
-        print(display(args.shape.outer, args.order, max(r, 1)))
-        print("inner:")
-        print(display(args.shape.inner, args.order, max(r, 1)))
     if not sq.exists:
-        _emit(args, {"exists": False, "components": None}, "no quotient")
-        return 0
+        return {"exists": False, "components": None}, text + "no quotient"
     parts = [str(c) for c in sq.components]
-    _emit(args, {"exists": True, "components": parts}, " ; ".join(parts))
-    return 0
+    return {"exists": True, "components": parts}, text + " ; ".join(parts)
 
 
-def _cmd_core(args) -> int:
-    result = core(args.partition, args.order)
-    if args.abacus and not args.json:
-        print(display(args.partition, args.order, max(args.partition.length, 1)))
-    _emit(args, {"core": str(result)}, str(result))
-    return 0
+def _cmd_core(args):
+    text = ""
+    if args.abacus:
+        _at_most("--order", args.order, 5, "core --abacus")
+        text = display(args.partition, args.order, max(args.partition.length, 1)) + "\n"
+    result = str(core(args.partition, args.order))
+    return {"core": result}, text + result
 
 
-def _cmd_bst(args) -> int:
+def _cmd_bst(args):
     if args.shape.size % args.order != 0:
         value = SkewCharValue(0, 0, 0)
     else:
@@ -186,68 +176,50 @@ def _cmd_bst(args) -> int:
         "epsilon": value.epsilon,
         "value": value.value,
     }
-    lines = [f"count: {value.bst_count}", f"epsilon: {value.epsilon}"]
+    lines = [f"{key}: {payload[key]}" for key in ("count", "epsilon")]
     if args.show:
         shown = list(islice(enumerate_bst(args.shape, args.order), args.show))
         payload["tableaux"] = [
             {"heights": list(t.heights), "total_height": t.total_height} for t in shown
         ]
         for t in shown:
-            lines.append(_bst_grid(t, args.shape))
-            lines.append("")
-    _emit(args, payload, "\n".join(lines).rstrip())
-    return 0
+            lines += [_bst_grid(t, args.shape), ""]
+    return payload, "\n".join(lines).rstrip()
 
 
-def _cmd_char(args) -> int:
-    if (args.type is None) == (args.nu is None):
-        print("error: exactly one of --type and --nu is required", file=sys.stderr)
-        return 2
-    if args.type is not None:
-        value = skew_char_rect(args.shape, args.type)
-        payload = {
-            "value": value.value,
-            "bst_count": value.bst_count,
-            "epsilon": value.epsilon,
-        }
-        _emit(
-            args,
-            payload,
-            f"value: {value.value}\nbst_count: {value.bst_count}\nepsilon: {value.epsilon}",
-        )
-        return 0
-    value = skew_char(args.shape, args.nu)
-    _emit(args, {"value": value}, str(value))
-    return 0
+def _cmd_char(args):
+    if args.nu is not None:
+        value = skew_char(args.shape, args.nu)
+        return {"value": value}, str(value)
+    payload = skew_char_rect(args.shape, args.type)._asdict()
+    return payload, "\n".join(f"{key}: {value}" for key, value in payload.items())
 
 
-def _cmd_eval_root(args) -> int:
+def _cmd_eval_root(args):
     value = eval_at_root(args.shape, args.vars, args.order)
-    _emit(args, {"value": value}, str(value))
-    return 0
+    return {"value": value}, str(value)
 
 
-def _cmd_perm(args) -> int:
+def _cmd_perm(args):
     pi = perm(args.shape, args.order)
     payload = {
         "perm": list(pi),
         "one_line": one_line_string(pi),
         "sign": permutation_sign(pi),
     }
-    _emit(args, payload, one_line_string(pi))
-    return 0
+    return payload, payload["one_line"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = builtin_checks()
+    lines = []
     for res in results:
-        status = "ok" if res.passed else "FAIL"
-        print(f"{status:4s} {res.name}")
+        lines.append(f"{'ok' if res.passed else 'FAIL':4s} {res.name}")
         if not res.passed:
-            print(f"     {res.detail}")
+            lines.append(f"     {res.detail}")
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    return None, "\n".join(lines), 0 if failed == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,76 +230,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--shape", type=_parsed(SkewShape), required=True, metavar="OUTER[/INNER]")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+    def command(name, func, help, skew=True):
+        """A subcommand; ``skew`` adds the skew ``--shape`` and ``--json``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if skew:
+            p.add_argument("--shape", type=_parsed(SkewShape), required=True, metavar="OUTER[/INNER]")
+            p.add_argument("--json", action="store_true", help="emit JSON")
+        return p
 
-    p = sub.add_parser("specialize", help="principal specialization polynomial")
-    add_common(p)
-    p.add_argument("--vars", type=_positive_int, required=True, metavar="K")
+    def add_vars(p, metavar="K"):
+        p.add_argument("--vars", type=_positive_int, required=True, metavar=metavar)
+
+    def add_order(p):
+        p.add_argument("--order", type=_positive_int, required=True, metavar="D")
+
+    p = command("specialize", _cmd_specialize, "principal specialization polynomial")
+    add_vars(p)
     p.add_argument("--mod", type=_positive_int, metavar="M")
-    p.set_defaults(func=_cmd_specialize)
 
-    p = sub.add_parser("analyze", help="divisor-basis decomposition and verdict")
-    add_common(p)
-    p.add_argument("--vars", type=_positive_int, required=True, metavar="K")
+    p = command("analyze", _cmd_analyze, "divisor-basis decomposition and verdict")
+    add_vars(p)
     p.add_argument("--mod", type=_positive_int, required=True, metavar="M")
     p.add_argument("--shift", type=_nonnegative_int, metavar="I")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("quotient", help="componentwise quotient of a skew shape")
-    add_common(p)
-    p.add_argument("--order", type=_positive_int, required=True, metavar="D")
+    p = command("quotient", _cmd_quotient, "componentwise quotient of a skew shape")
+    add_order(p)
     p.add_argument("--abacus", action="store_true", help="also render the displays")
-    p.set_defaults(func=_cmd_quotient)
 
-    p = sub.add_parser("core", help="core of a straight partition")
+    p = command("core", _cmd_core, "core of a straight partition", skew=False)
     p.add_argument("--shape", dest="partition", type=_parsed(Partition), required=True, metavar="PARTS")
-    p.add_argument("--order", type=_positive_int, required=True, metavar="D")
+    add_order(p)
     p.add_argument("--abacus", action="store_true", help="also render the display")
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_core)
 
-    p = sub.add_parser("bst", help="border-strip tableau count and sign")
-    add_common(p)
-    p.add_argument("--order", type=_positive_int, required=True, metavar="D")
+    p = command("bst", _cmd_bst, "border-strip tableau count and sign")
+    add_order(p)
     p.add_argument("--show", type=_positive_int, metavar="N", help="print the first N tableaux")
-    p.set_defaults(func=_cmd_bst)
 
-    p = sub.add_parser("char", help="skew character value")
-    add_common(p)
-    p.add_argument("--type", type=_positive_int, metavar="D", help="rectangular type of strip size D")
-    p.add_argument("--nu", type=_parsed(Composition), metavar="A,B,...", help="arbitrary type")
-    p.set_defaults(func=_cmd_char)
+    p = command("char", _cmd_char, "skew character value")
+    strips = p.add_mutually_exclusive_group(required=True)
+    strips.add_argument("--type", type=_positive_int, metavar="D", help="rectangular type of strip size D")
+    strips.add_argument("--nu", type=_parsed(Composition), metavar="A,B,...", help="arbitrary type")
 
-    p = sub.add_parser("eval-root", help="specialization at a root of unity")
-    add_common(p)
-    p.add_argument("--vars", type=_positive_int, required=True, metavar="N")
-    p.add_argument("--order", type=_positive_int, required=True, metavar="D")
-    p.set_defaults(func=_cmd_eval_root)
+    p = command("eval-root", _cmd_eval_root, "specialization at a root of unity")
+    add_vars(p, metavar="N")
+    add_order(p)
 
-    p = sub.add_parser("perm", help="residue-class matching permutation")
-    add_common(p)
-    p.add_argument("--order", type=_positive_int, required=True, metavar="D")
-    p.set_defaults(func=_cmd_perm)
+    p = command("perm", _cmd_perm, "residue-class matching permutation")
+    add_order(p)
 
-    p = sub.add_parser("verify", help="run the built-in regression checks")
-    p.set_defaults(func=_cmd_verify, json=False)
+    command("verify", _cmd_verify, "run the built-in regression checks", skew=False).set_defaults(json=False)
 
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, *code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    print(json.dumps(payload) if args.json else text)
+    return code[0] if code else 0
 
 
 def main() -> None:

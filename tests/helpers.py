@@ -105,6 +105,12 @@ def compositions_with_parts(max_rows: int, allowed_parts):
     yield from rec(max_rows, [])
 
 
+def inversion_sign(pi: tuple[int, ...]) -> int:
+    """Sign of a one-line permutation from its inversion count, O(l^2)."""
+    inversions = sum(1 for i in range(len(pi)) for j in range(i + 1, len(pi)) if pi[i] > pi[j])
+    return -1 if inversions % 2 else 1
+
+
 def conjugate(lam: Partition) -> Partition:
     """The transposed diagram: part j counts the parts of lam that are >= j."""
     if not lam.parts:

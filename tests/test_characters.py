@@ -1,4 +1,5 @@
 import gc
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -26,6 +27,7 @@ from helpers import (
     corner_removal_count,
     diagram_signed_char,
     hook_length_count,
+    inversion_sign,
     is_border_strip_cells,
     is_horizontal_strip,
     partitions_in_box,
@@ -212,6 +214,17 @@ def test_one_line_string_wide():
     assert one_line_string((10, 2, 1, 3, 4, 5, 6, 7, 8, 9)) == "10,2,1,3,4,5,6,7,8,9"
     assert permutation_sign((2, 1)) == -1
     assert permutation_sign((1, 2, 3)) == 1
+
+
+def test_permutation_sign_matches_inversion_count_exhaustively():
+    for length in range(8):
+        for pi in permutations(range(1, length + 1)):
+            assert permutation_sign(pi) == inversion_sign(pi)
+
+
+@given(st.integers(0, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_permutation_sign_matches_inversion_count(pi):
+    assert permutation_sign(tuple(pi)) == inversion_sign(tuple(pi))
 
 
 def test_perm_sign_equals_character_sign_exhaustively():

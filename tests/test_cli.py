@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import skewsieve
 import skewsieve.checks as checks
-from skewsieve.cli import run
+from skewsieve.cli import build_parser, run
 
 SEVEN_ROWS = "9,9,6,6,6,4,1/2,1,1,1"
 VERIFY_NAMES = [
@@ -173,8 +175,10 @@ def test_bst_and_char(capsys):
     code, out, _ = invoke(capsys, ["char", "--shape", "2,1", "--nu", "1,1,1"])
     assert code == 0
     assert out.strip() == "2"
-    code, _, err = invoke(capsys, ["char", "--shape", "2,1"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["char", "--shape", "2,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: one of the arguments --type --nu is required\n")
     # more strips than the interpreter's recursion limit
     ones = ",".join(["1"] * 1200)
     code, out, _ = invoke(capsys, ["char", "--shape", "1200", "--nu", ones])
@@ -225,6 +229,7 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
 
 # one text-mode call per subcommand, its stdout pinned byte for byte
 PINNED_STDOUT = [
+    pytest.param(["specialize", "--shape", "3,2/1", "--vars", "2"], "q + 2*q^2 + q^3\n", id="specialize"),
     pytest.param(
         ["analyze", "--shape", "12,12,4/8,4", "--vars", "6", "--mod", "4"],
         "verdict: csp\na_1 = 12\na_2 = 264\na_4 = 1576440\ncsp guaranteed: no\n",
@@ -283,9 +288,119 @@ PINNED_STDOUT = [
 ]
 
 
+# one --json call per subcommand that takes the flag, its stdout pinned byte for byte
+PINNED_JSON = [
+    pytest.param(
+        ["specialize", "--shape", "3,2/1", "--vars", "3", "--mod", "4"],
+        {"shape": "3,2/1", "vars": 3, "mod": 4, "poly": {"0": 5, "1": 5, "2": 6, "3": 5}},
+        id="specialize",
+    ),
+    pytest.param(
+        ["analyze", "--shape", "12,12,4/8,4", "--vars", "6", "--mod", "4"],
+        {"shape": "12,12,4/8,4", "vars": 6, "m": 4, "verdict": "csp", "a": {"1": 12, "2": 264, "4": 1576440},
+         "row_diffs_divisible": True, "vars_divisible": False, "border_strip": False, "csp_guaranteed": False,
+         "orbit_counts": {"1": 12, "2": 264, "4": 1576440}},
+        id="analyze",
+    ),
+    pytest.param(
+        ["analyze", "--shape", "6,4,2/2,2", "--vars", "4", "--mod", "2", "--shift", "1"],
+        {"shape": "6,4,2/2,2", "vars": 4, "shift": 1, "m": 2, "verdict": "pre-csp", "a": {"1": -12, "2": 636}},
+        id="analyze-shift",
+    ),
+    pytest.param(
+        ["quotient", "--shape", "3,2/1", "--order", "2", "--abacus"],
+        {"exists": True, "components": ["1,1", "0"]},
+        id="quotient-abacus",
+    ),
+    pytest.param(["core", "--shape", "5,3,1", "--order", "2", "--abacus"], {"core": "1"}, id="core-abacus"),
+    pytest.param(
+        ["bst", "--shape", "3,3", "--order", "2", "--show", "2"],
+        {"count": 3, "epsilon": -1, "value": -3, "tableaux": [{"heights": [1, 1, 1], "total_height": 3},
+                                                              {"heights": [0, 0, 1], "total_height": 1}]},
+        id="bst-show",
+    ),
+    pytest.param(
+        ["char", "--shape", SEVEN_ROWS, "--type", "3"],
+        {"value": -582120, "bst_count": 582120, "epsilon": -1},
+        id="char-type",
+    ),
+    pytest.param(["char", "--shape", "2,1", "--nu", "1,1,1"], {"value": 2}, id="char-nu"),
+    pytest.param(["eval-root", "--shape", SEVEN_ROWS, "--vars", "9", "--order", "3"], {"value": -666}, id="eval-root"),
+    pytest.param(
+        ["perm", "--shape", SEVEN_ROWS, "--order", "3"],
+        {"perm": [2, 1, 4, 7, 3, 5, 6], "one_line": "2147356", "sign": -1},
+        id="perm",
+    ),
+]
+
+
 @pytest.mark.parametrize("argv, expected", PINNED_STDOUT)
 def test_text_output_is_pinned(capsys, argv, expected):
     assert invoke(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_JSON)
+def test_json_output_is_pinned(capsys, argv, expected):
+    # json.dumps of the expected dict gives the bytes: the key order is pinned too
+    assert invoke(capsys, argv + ["--json"]) == (0, json.dumps(expected) + "\n", "")
+
+
+def test_every_subcommand_has_pinned_output():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    text = {param.values[0][0] for param in PINNED_STDOUT}
+    as_json = {param.values[0][0] for param in PINNED_JSON}
+    for name, sub in commands.items():
+        assert name in text, name
+        assert name in as_json or "--json" not in sub._option_string_actions, name
+
+
+def test_char_takes_exactly_one_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["char", "--shape", "2,1", "--type", "3", "--nu", "1,1,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --nu: not allowed with argument --type\n")
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["quotient", "--shape", "1"], "quotient"),
+        (["quotient", "--shape", "1", "--abacus", "--json"], "quotient"),
+        (["core", "--shape", "1", "--abacus"], "core --abacus"),
+    ],
+)
+def test_d_tuple_outputs_are_bounded(capsys, argv, command):
+    # the answer is D components or D display columns, so the limit is checked before any work
+    for order in (10**5 + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv + ["--order", str(order)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: --order {order} is above the limit of 10^5 for {command}\n"
+    code, out, err = invoke(capsys, argv + ["--order", str(10**5)])
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_unbounded_orders_stay_fast(capsys):
+    # core without a display and perm read only the l beads, whatever D is
+    assert invoke(capsys, ["core", "--shape", "3,1", "--order", str(10**9)]) == (0, "3,1\n", "")
+    code, out, err = invoke(capsys, ["perm", "--shape", "3,1", "--order", str(10**9)])
+    assert (code, out) == (1, "") and err == "error: cores differ\n"
+
+
+def test_perm_on_20000_one_cell_rows_answers_fast(capsys):
+    # the sign is the cycle parity, not an O(l^2) inversion count
+    rows = 20000
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, ["perm", "--shape", ",".join(["1"] * rows), "--order", "2", "--json"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    payload = json.loads(out)
+    # odd rows pair with the next even row: rows/2 transpositions
+    assert payload["perm"] == [i + 1 if i % 2 else i - 1 for i in range(1, rows + 1)]
+    assert payload["sign"] == (-1) ** (rows // 2)
 
 
 def test_usage_errors_exit_2(capsys):
