@@ -1,12 +1,12 @@
 """The immutable base of the value types (``Partition``, ``Composition``,
 ``SkewShape`` and ``QPoly``).
 
-A subclass declares its ``__slots__``, names its public fields in
-``_fields`` (the arguments of its constructor, in order) and sets them
-once in ``__init__`` through ``object.__setattr__``.  Instances compare
-and hash by those fields, print as ``Name(field=value, ...)``, pickle by
-calling the constructor again, and raise ``AttributeError`` on any
-assignment or deletion.
+A subclass names its public fields in ``__slots__`` (the arguments of its
+constructor, in order), and only there, and sets them once in ``__init__``
+through ``object.__setattr__``.  Instances compare and hash by those
+fields, print as ``Name(field=value, ...)``, pickle by calling the
+constructor again, and raise ``AttributeError`` on any assignment or
+deletion.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 class Value:
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -28,7 +27,7 @@ class Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):

@@ -15,8 +15,8 @@ configurations, and those two walks are the independent oracles for the
 closed form.  Both are loops, so the number of strips is not bounded by
 the recursion limit: the arbitrary-type count is a forward pass holding
 one signed count per configuration for the current and the next strip,
-and the listing is a depth-first search over an explicit stack of untried
-moves.
+and the listing is a depth-first search over an explicit stack of plain
+states, each a configuration with the strips removed on the way there.
 """
 
 from __future__ import annotations
@@ -62,25 +62,21 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     if shape.size % d != 0 or _runners(shape, d)[0] is None:
         return
     start, target = shape.beta_sets()
-    if start == target:
-        yield BorderStripTableau((), ())
-        return
-    # each entry: a configuration, its untried moves, and the strips and
-    # heights removed on the way there, the last removed first
-    stack = [(start, iter(_legal_moves(start, d, target)), (), ())]
+    # each state: a configuration, the one its last strip came off (None
+    # at the start), that strip's height, and the strips and heights
+    # removed before it, the last removed first; a strip's cells are built
+    # when its state is popped, so unexplored siblings cost nothing
+    stack = [(start, None, 0, (), ())]
     while stack:
-        beta, moves, strips, heights = stack[-1]
-        move = next(moves, None)
-        if move is None:
-            stack.pop()
-            continue
-        _, height, new = move
-        cells = SkewShape(partition_from_beta(beta), partition_from_beta(new)).cells()
-        done = (frozenset(cells),) + strips, (height,) + heights
-        if new == target:
-            yield BorderStripTableau(*done)
+        beta, above, height, strips, heights = stack.pop()
+        if above is not None:
+            cells = SkewShape(partition_from_beta(above), partition_from_beta(beta)).cells()
+            strips, heights = (frozenset(cells),) + strips, (height,) + heights
+        if beta == target:
+            yield BorderStripTableau(strips, heights)
         else:
-            stack.append((new, iter(_legal_moves(new, d, target)), *done))
+            for _, h, new in reversed(_legal_moves(beta, d, target)):
+                stack.append((new, beta, h, strips, heights))
 
 
 def _standard_count(tops: list[int], bottoms: list[int], size: int) -> int:

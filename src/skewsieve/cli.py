@@ -31,7 +31,7 @@ from .characters import (
 )
 from .checks import builtin_checks
 from .qpoly import QPoly, Verdict
-from .schur import principal_specialization
+from .schur import _kronecker_cost, principal_specialization
 from .shapes import Composition, Partition, SkewShape
 
 
@@ -72,10 +72,19 @@ def _poly_json(poly: QPoly) -> dict[str, int]:
     return {str(e): c for e, c in enumerate(poly.coeffs) if c != 0}
 
 
-def _at_most(flag: str, value: int, power: int, command: str) -> None:
-    """Reject a flag value past its budget before any work is done."""
+def _at_most(name: str, value: int, power: int, command: str) -> None:
+    """Reject a flag value, or a size read off the flags, past its budget
+    before any work is done."""
     if value > 10**power:
-        raise ValueError(f"{flag} {value} is above the limit of 10^{power} for {command}")
+        raise ValueError(f"{name} {value} is above the limit of 10^{power} for {command}")
+
+
+def _determinant_budget(args, command: str) -> None:
+    """Refuse a Kronecker determinant whose estimated cost passes 10^12
+    units, about 2 s on CPython 3.11.  The estimate is not printed: it has
+    about twice as many digits as ``--vars``."""
+    if _kronecker_cost(args.shape, args.vars) > 10**12:
+        raise ValueError(f"the estimated determinant cost is above the limit of 10^12 units for {command}")
 
 
 def _decomposition(dec) -> tuple[dict, list[str]]:
@@ -105,6 +114,10 @@ def _bst_grid(tableau, shape: SkewShape) -> str:
 
 
 def _cmd_specialize(args):
+    _determinant_budget(args, "specialize")
+    # the text and the JSON list every coefficient up to the fold
+    terms = args.shape.size * (args.vars - 1) + 1
+    _at_most("the coefficient count", min(terms, args.mod or terms), 6, "specialize")
     poly = principal_specialization(args.shape, args.vars, mod=args.mod)
     payload = {
         "shape": str(args.shape),
@@ -118,6 +131,9 @@ def _cmd_specialize(args):
 def _cmd_analyze(args):
     # ``divisors`` trial-divides up to the square root of the modulus
     _at_most("--mod", args.mod, 12, "analyze")
+    # the shift pads that many zero coefficients before the fold
+    _at_most("--shift", args.shift or 0, 6, "analyze")
+    _determinant_budget(args, "analyze")
     payload = {"shape": str(args.shape), "vars": args.vars}
     if args.shift is not None:
         payload["shift"] = args.shift

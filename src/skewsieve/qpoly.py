@@ -40,7 +40,6 @@ class QPoly(Value):
     zeros; a float or a string is a ``TypeError``."""
 
     __slots__ = ("coeffs",)
-    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         coeffs = tuple(map(index, coeffs))
@@ -213,6 +212,12 @@ def _q_binomial_at(n: int, k: int, w: int) -> int:
     return acc
 
 
+def _width(total: int) -> int:
+    """Bytes w per base-2^(8w) digit for nonnegative coefficients summing to
+    ``total``: enough that no coefficient reaches 2^(8w)."""
+    return total.bit_length() // 8 + 1
+
+
 def _digits(value: int, w: int) -> list[int]:
     """Base-2^(8w) digits of value >= 0, least significant first."""
     raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
@@ -233,5 +238,5 @@ def gaussian_binomial(n: int, k: int) -> QPoly:
         raise ValueError("k must be >= 1")
     if n < 0:
         return QPoly()
-    w = comb(n + k - 1, n).bit_length() // 8 + 1
+    w = _width(comb(n + k - 1, n))
     return QPoly(_digits(_q_binomial_at(n, k, w), w))

@@ -16,10 +16,10 @@ its remainder modulo 2^(8wm) - 1.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .qpoly import QPoly, _digits, _q_binomial_at
+from .qpoly import QPoly, _digits, _q_binomial_at, _width
 from .shapes import SkewShape
 
 
@@ -81,7 +81,7 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     if mod is not None and mod < 1:
         raise ValueError("modulus must be positive")
     count = count_ssyt(shape, k)
-    w = count.bit_length() // 8 + 1
+    w = _width(count)
     det = _jt_det(*shape.beta_sets(), lambda e: _q_binomial_at(e, k, w))
     if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
@@ -91,6 +91,40 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
             f"{count} for {shape}, k={k}; this indicates a bug in this library"
         )
     return QPoly(coeffs)
+
+
+def _kronecker_cost(shape: SkewShape, k: int) -> int:
+    """Estimated cost of ``principal_specialization(shape, k)``, read off
+    ``count_ssyt`` before anything is built.  The unit is one bit-by-bit
+    step of CPython's schoolbook long division, about 2 ns on CPython 3.11
+    (2 CPUs); on measured runs of 1 to 20 rows that took over 0.1 s, the
+    time was 0.5 to 1.8 times the estimate.  With b = 8w, and D the
+    b(N(k - 1) + 1) bits of the determinant of the N-cell shape:
+
+    - the entry h_e takes s = min(e, k - 1) divisions, the i-th of about
+      b*t*i bits (t = max(e, k - 1)) by b*i bits, plus about 300 units per
+      bit of the dividend;
+    - Bareiss step j updates (l - 1 - j)^2 entries, each with two
+      Karatsuba products of n = (j + 1)D/l bits, about 50 n^1.5 units each,
+      and, past step 0, a division leaving (j + 2)D/l bits by a pivot of
+      jD/l bits;
+    - shifting, folding and unpacking take about 1000 units per bit of D.
+
+    The divisions make the cost quadratic in D and steep in l.  It is
+    computed in integers, so no k overflows it.
+    """
+    tops, bottoms = shape.beta_sets()
+    l, b = len(tops), 8 * _width(count_ssyt(shape, k))
+    det_bits = b * (shape.size * (k - 1) + 1)
+    cost = 1000 * det_bits
+    for e in (a - c for a in tops for c in bottoms if a > c):
+        s, t = min(e, k - 1), max(e, k - 1)
+        # the sum over i <= s of b*t*i * (b*i + 300)
+        cost += b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6
+    for j in range(l - 1):
+        n = (j + 1) * det_bits // l
+        cost += (l - 1 - j) ** 2 * (j * (j + 2) * (det_bits // l) ** 2 + 100 * n * isqrt(n))
+    return cost
 
 
 def _cell_plan(shape: SkewShape) -> list[tuple[tuple[int, int], int, int]]:

@@ -56,7 +56,6 @@ class Partition(Value):
     """
 
     __slots__ = ("parts",)
-    _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(index, parts))
@@ -125,7 +124,6 @@ class Composition(Value):
     """A finite sequence of nonnegative integers, not necessarily sorted."""
 
     __slots__ = ("parts",)
-    _fields = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(map(index, parts))
@@ -152,7 +150,6 @@ class SkewShape(Value):
     """
 
     __slots__ = ("outer", "inner")
-    _fields = ("outer", "inner")
 
     def __init__(self, outer: Partition, inner: Partition = Partition()):
         if not isinstance(outer, Partition) or not isinstance(inner, Partition):

@@ -256,6 +256,18 @@ PINNED_STDOUT = [
         id="bst-show",
     ),
     pytest.param(
+        # 80 tableaux, branching at several depths: fixes the listing order
+        ["bst", "--shape", "4,4,2,2", "--order", "2", "--show", "6"],
+        "count: 80\nepsilon: 1\n"
+        "1 3 5 6\n1 3 5 6\n2 4\n2 4\n\n"
+        "1 2 5 6\n1 2 5 6\n3 4\n3 4\n\n"
+        "1 1 5 6\n2 2 5 6\n3 4\n3 4\n\n"
+        "1 1 5 6\n2 3 5 6\n2 3\n4 4\n\n"
+        "1 2 5 6\n1 2 5 6\n3 3\n4 4\n\n"
+        "1 1 5 6\n2 2 5 6\n3 3\n4 4\n",
+        id="bst-show-six",
+    ),
+    pytest.param(
         ["bst", "--shape", "9,8,8,8/2,1", "--order", "2", "--show", "1"],
         "count: 0\nepsilon: 0\n",
         id="bst-show-no-quotient",
@@ -500,6 +512,51 @@ def test_analyze_modulus_is_bounded(capsys):
     code, out, err = invoke(capsys, ["analyze", "--shape", "2,1", "--vars", "2", "--mod", str(10**12)])
     assert code == 0 and err == ""
     assert out.startswith("verdict: ")
+
+
+def test_analyze_shift_is_bounded(capsys):
+    # the shift pads that many zeros, so the limit is checked before any work
+    argv = ["analyze", "--shape", "2,1", "--vars", "2", "--mod", str(10**12), "--shift"]
+    for shift in (10**6 + 1, 10**11):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv + [str(shift)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: --shift {shift} is above the limit of 10^6 for analyze\n"
+    code, out, err = invoke(capsys, argv + [str(10**6)])
+    assert (code, out, err) == (0, "verdict: not-pre-csp\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--shape", "5", "--vars", "3000000", "--mod", "3"],
+        ["analyze", "--shape", "3,2", "--vars", "100000", "--mod", "7"],
+        ["analyze", "--shape", "4,3,2,1", "--vars", "3000", "--mod", "7", "--shift", "1"],
+        ["specialize", "--shape", "3,2,1", "--vars", "100000"],
+        ["specialize", "--shape", "40", "--vars", "200000", "--mod", "1000"],
+        ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300],
+    ],
+    ids=lambda argv: " ".join(argv[:5])[:40],
+)
+def test_kronecker_determinant_is_bounded(capsys, argv):
+    # each took about 10 s or more, or would never finish, when the determinant was built;
+    # its cost is now read off count_ssyt first
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+def test_specialize_coefficient_count_is_bounded(capsys):
+    # every coefficient up to the fold is printed
+    code, out, err = invoke(capsys, ["specialize", "--shape", "2", "--vars", "600000"])
+    assert (code, out) == (1, "")
+    assert err == "error: the coefficient count 1199999 is above the limit of 10^6 for specialize\n"
+    code, out, err = invoke(capsys, ["specialize", "--shape", "2", "--vars", "600000", "--mod", "7", "--json"])
+    assert (code, err) == (0, "")
+    assert sum(json.loads(out)["poly"].values()) == 600000 * 600001 // 2
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):
