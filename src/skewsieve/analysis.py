@@ -6,13 +6,25 @@ every row difference divisible by the modulus together with either a
 variable count divisible by the modulus, or the shape being a border
 strip.  The harness treats any violation of those guarantees as a bug in
 this library, never as a finding.
+
+When the modulus m divides the variable count k, the specialization at
+an m-th root of unity w of order e is ``eval_at_root(shape, k, e)``: the
+points 1, w, ..., w^(k-1) run k/e times over the e-th roots of unity.
+The value at order m/g is the sum of d * a_d over the divisors d of g,
+so the coordinates are read off those tau(m) integers, one runner pass
+each, with no Kronecker determinant and no filling count.  The values
+depend only on the order of the root, so the folded polynomial always
+lies in the divisor-basis span and the verdict is never NOT_PRE_CSP.
+Otherwise, and for a shifted polynomial, the Kronecker determinant of
+``schur`` is folded and decomposed.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qpoly import CspDecomposition, Verdict, csp_decompose
+from .characters import eval_at_root
+from .qpoly import CspDecomposition, Verdict, _invert_divisor_sums, csp_decompose, divisors
 from .schur import principal_specialization
 from .shapes import SkewShape, is_border_strip
 
@@ -31,14 +43,35 @@ class CspReport(NamedTuple):
     csp_guaranteed: bool
 
 
+def _from_root_values(shape: SkewShape, k: int, m: int) -> CspDecomposition:
+    """The decomposition for m dividing k: g * a_g is the value at order
+    m/g less the terms d * a_d already known, so g must divide it."""
+    divs = divisors(m)
+    known = _invert_divisor_sums(divs, {g: eval_at_root(shape, k, m // g) for g in divs})
+    a = {}
+    for g, total in known.items():
+        if total % g:
+            raise RuntimeError(
+                f"the root values of {shape} at k={k} give {total} for {g} * a_{g}, "
+                f"which {g} does not divide; this indicates a bug in this library"
+            )
+        a[g] = total // g
+    verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
+    return CspDecomposition(m, verdict, a)
+
+
 def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
-    """Specialize with k variables, fold modulo q^m - 1 and decompose."""
+    """Specialize with k variables, fold modulo q^m - 1 and decompose:
+    from root values when m divides k, else from the Kronecker
+    determinant."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
-    poly = principal_specialization(shape, k, mod=m)
-    dec = csp_decompose(poly, m)
-    row_div = all(diff % m == 0 for diff in shape.row_diffs())
     vars_div = k % m == 0
+    if vars_div:
+        dec = _from_root_values(shape, k, m)
+    else:
+        dec = csp_decompose(principal_specialization(shape, k, mod=m), m)
+    row_div = all(diff % m == 0 for diff in shape.row_diffs())
     strip = is_border_strip(shape)
     guaranteed = row_div and (vars_div or strip)
     if guaranteed and dec.verdict is not Verdict.CSP:

@@ -16,7 +16,8 @@ closed form.  Both are loops, so the number of strips is not bounded by
 the recursion limit: the arbitrary-type count is a forward pass holding
 one signed count per configuration for the current and the next strip,
 and the listing is a depth-first search over an explicit stack of plain
-states, each a configuration with the strips removed on the way there.
+states, each a configuration with the strips removed on the way there;
+each strip's cells are read off its bead slide, not off rebuilt shapes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, _runners
 from .schur import _integer_det, _jt_count
-from .shapes import Composition, SkewShape, partition_from_beta
+from .shapes import Composition, SkewShape
 
 
 class BorderStripTableau(NamedTuple):
@@ -62,21 +63,37 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     if shape.size % d != 0 or _runners(shape, d)[0] is None:
         return
     start, target = shape.beta_sets()
-    # each state: a configuration, the one its last strip came off (None
-    # at the start), that strip's height, and the strips and heights
-    # removed before it, the last removed first; a strip's cells are built
-    # when its state is popped, so unexplored siblings cost nothing
+    # each state: a configuration, the position its last strip's bead slid
+    # from (None at the start), that strip's height, and the strips and
+    # heights removed before it, the last removed first; a strip's cells
+    # are built when its state is popped, so unexplored siblings cost nothing
     stack = [(start, None, 0, (), ())]
     while stack:
-        beta, above, height, strips, heights = stack.pop()
-        if above is not None:
-            cells = SkewShape(partition_from_beta(above), partition_from_beta(beta)).cells()
-            strips, heights = (frozenset(cells),) + strips, (height,) + heights
+        beta, p, height, strips, heights = stack.pop()
+        if p is not None:
+            strips, heights = (_strip_cells(beta, p, d, height),) + strips, (height,) + heights
         if beta == target:
             yield BorderStripTableau(strips, heights)
         else:
-            for _, h, new in reversed(_legal_moves(beta, d, target)):
-                stack.append((new, beta, h, strips, heights))
+            for pos, h, new in reversed(_legal_moves(beta, d, target)):
+                stack.append((new, pos, h, strips, heights))
+
+
+def _strip_cells(beta: tuple[int, ...], p: int, d: int, height: int) -> frozenset[tuple[int, int]]:
+    """The d cells of the strip whose removal slid the bead at p to p - d,
+    giving the configuration ``beta``.  The bead now sits at index t, and
+    the strip spans the rows of indices t - height to t: the bead left the
+    first of them, and each bead it passed moved up one row.  A bead at
+    index r and position s ends its row (row r + 1) at column
+    s + r + 1 - len(beta), so in each of those rows the strip runs from
+    the column after the row's new end to its old one.  O(d + len(beta))
+    steps."""
+    t = beta.index(p - d)
+    ends = (p,) + beta[t - height : t + 1]
+    off = 2 - len(beta)
+    return frozenset((r + 1, c)
+                     for r, old, new in zip(range(t - height, t + 1), ends, ends[1:])
+                     for c in range(new + r + off, old + r + off))
 
 
 def _standard_count(tops: list[int], bottoms: list[int], size: int) -> int:

@@ -13,6 +13,10 @@ when its coefficients are constant on the classes {j : gcd(j, m) = g}.
 The value on class g is the sum of the coefficients of B_(m/e) over the
 divisors e of g, so the basis coefficients are recovered one divisor at a
 time in increasing order, each by subtracting the ones already known.
+The same walk reads the basis off root-of-unity values: at an m-th root
+of unity of order m/g, B_d is d when d divides g and 0 otherwise, so the
+value of the polynomial there is the sum of d * a_d over the divisors d
+of g (``analysis`` takes this route when m divides the variable count).
 Everything stays in integer arithmetic; no root of unity is ever touched
 numerically.
 
@@ -148,6 +152,22 @@ def reduce_mod(f: QPoly, m: int) -> QPoly:
     return QPoly(out)
 
 
+def _invert_divisor_sums(divs: list[int], value: dict[int, int]) -> dict[int, int]:
+    """The b_g with value[g] equal to the sum of b_e over the divisors e of
+    g, for g in the ascending divisor list ``divs`` of m.  Every proper
+    divisor of g comes before g, so walking g upward gives each b_g as
+    value[g] less the terms already known: O(tau(m)^2) steps.  The result
+    keeps the order of ``divs``."""
+    known: dict[int, int] = {}
+    for g in divs:
+        total = value[g]
+        for e in known:
+            if g % e == 0:
+                total -= known[e]
+        known[g] = total
+    return known
+
+
 def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     """Classify f against the divisor basis modulo q^m - 1.
 
@@ -156,9 +176,10 @@ def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     checked against its class, and a class whose greatest member m - g
     lies past the stored coefficients must read 0.  The value on class g
     is the sum of a_(m/e) over the divisors e of g, so walking g upward
-    gives each a_(m/g) as that value less the terms already known.  Beyond
-    ``divisors(m)`` the cost is O(len(f) + tau(m)^2), where tau(m) counts
-    the divisors of m.
+    (``_invert_divisor_sums``) gives each a_(m/g) as that value less the
+    terms already known; the coefficients come in ascending divisor
+    order.  Beyond ``divisors(m)`` the cost is O(len(f) + tau(m)^2),
+    where tau(m) counts the divisors of m.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
@@ -172,14 +193,7 @@ def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     for g in divs:
         if g < m and m - g >= n and value[g]:
             return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
-    # known[g] = a_(m/g); every proper divisor of g comes before g
-    known: dict[int, int] = {}
-    for g in divs:
-        total = value[g]
-        for e in known:
-            if g % e == 0:
-                total -= known[e]
-        known[g] = total
+    known = _invert_divisor_sums(divs, value)  # known[g] = a_(m/g)
     a = {d: known[m // d] for d in divs}
     verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
     return CspDecomposition(m, verdict, a)

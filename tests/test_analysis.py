@@ -2,8 +2,11 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from skewsieve import analysis, schur
 from skewsieve.analysis import analyze, analyze_shifted
+from skewsieve.cli import run
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
@@ -76,6 +79,60 @@ def test_large_modulus_costs_divisors_not_residues():
     divs = divisors(10**7)
     assert len(divs) == 64
     assert list(dec.coefficients.items()) == [(d, 1 if d == 1 else 0) for d in divs]
+
+
+def kronecker_decomposition(shape, k, m):
+    """The oracle for analyze when m divides k: the Kronecker determinant,
+    folded and decomposed."""
+    return csp_decompose(principal_specialization(shape, k, mod=m), m)
+
+
+def test_root_values_match_the_kronecker_route_exhaustively(monkeypatch):
+    # with m dividing k, analyze builds no Kronecker integer and counts no fillings
+    def refused(*args, **kwargs):
+        raise AssertionError("took the Kronecker route")
+
+    cases = [
+        (SkewShape(Partition(lam), Partition(mu)), k, m)
+        for lam in partitions_up_to(7)
+        for mu in subpartitions(lam)
+        for m in range(1, 7)
+        for k in (m, 2 * m, 3 * m)
+        if k <= 9
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "principal_specialization", refused)
+        patched.setattr(schur, "count_ssyt", refused)
+        got = [analyze(*case).decomposition for case in cases]
+    assert len(cases) == 5837  # 13 of them on the empty shape
+    for case, dec in zip(cases, got):
+        assert dec == kronecker_decomposition(*case)
+        assert list(dec.coefficients) == divisors(case[2])
+
+
+SHAPES_UP_TO_8 = [SkewShape(Partition(lam), Partition(mu))
+                  for lam in partitions_up_to(8) for mu in subpartitions(lam)]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(SHAPES_UP_TO_8), st.integers(1, 8), st.integers(1, 3))
+@example(SkewShape.parse("2,2,2,2,2,2"), 8, 1)  # the values at orders 4 and 8 are 0
+@example(SkewShape.parse("3,1"), 2, 2)  # PRE_CSP: a_1 < 0
+def test_root_values_match_the_kronecker_route_property(shape, m, t):
+    assert analyze(shape, m * t, m).decomposition == kronecker_decomposition(shape, m * t, m)
+
+
+def test_a_wrong_root_value_is_reported_as_a_bug(capsys, monkeypatch):
+    # f(1) and f(-1) agree mod 2, so one changed value leaves 2 * a_2 odd
+    root = analysis.eval_at_root
+    monkeypatch.setattr(analysis, "eval_at_root", lambda shape, k, d: root(shape, k, d) + (d == 1))
+    message = ("the root values of 2,2 at k=2 give 1 for 2 * a_2, which 2 does not divide; "
+               "this indicates a bug in this library")
+    with pytest.raises(RuntimeError) as raised:
+        analyze(SkewShape.parse("2,2"), 2, 2)
+    assert str(raised.value) == message
+    assert run(["analyze", "--shape", "2,2", "--vars", "2", "--mod", "2"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
 
 
 def test_analyze_validates_input():

@@ -99,6 +99,38 @@ def test_enumerate_bst_is_valid_and_deterministic():
                 assert first == list(enumerate_bst(shape, d))
 
 
+def enumerate_bst_by_shapes(shape, d):
+    """The listing with each strip rebuilt as the skew shape between the
+    partitions of consecutive configurations: the oracle for the strip
+    cells that ``enumerate_bst`` reads off each bead slide."""
+    start, target = shape.beta_sets()
+    stack = [(start, None, 0, (), ())]
+    while stack:
+        beta, above, height, strips, heights = stack.pop()
+        if above is not None:
+            cells = SkewShape(partition_from_beta(above), partition_from_beta(beta)).cells()
+            strips, heights = (frozenset(cells),) + strips, (height,) + heights
+        if beta == target:
+            yield strips, heights
+        else:
+            for _, h, new in reversed(_legal_moves(beta, d, target)):
+                stack.append((new, beta, h, strips, heights))
+
+
+def test_strip_cells_match_the_shapes_between_configurations():
+    tableaux = 0
+    for lam in partitions_up_to(9):
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            for d in range(1, 6):
+                if shape.size % d:
+                    continue
+                listed = [tuple(t) for t in enumerate_bst(shape, d)]
+                assert listed == list(enumerate_bst_by_shapes(shape, d))
+                tableaux += len(listed)
+    assert tableaux == 18540
+
+
 def test_bst_counts_cross_validate_walk_counts():
     for lam in partitions_up_to(9):
         for mu in subpartitions(lam):

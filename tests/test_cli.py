@@ -11,6 +11,9 @@ import pytest
 import skewsieve
 import skewsieve.checks as checks
 from skewsieve.cli import build_parser, run
+from skewsieve.qpoly import divisors
+from skewsieve.schur import count_ssyt
+from skewsieve.shapes import SkewShape
 
 SEVEN_ROWS = "9,9,6,6,6,4,1/2,1,1,1"
 VERIFY_NAMES = [
@@ -530,7 +533,7 @@ def test_analyze_shift_is_bounded(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--shape", "5", "--vars", "3000000", "--mod", "3"],
+        ["analyze", "--shape", "5", "--vars", "3000001", "--mod", "3"],
         ["analyze", "--shape", "3,2", "--vars", "100000", "--mod", "7"],
         ["analyze", "--shape", "4,3,2,1", "--vars", "3000", "--mod", "7", "--shift", "1"],
         ["specialize", "--shape", "3,2,1", "--vars", "100000"],
@@ -547,6 +550,43 @@ def test_kronecker_determinant_is_bounded(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "shape, k, m, nonzero",
+    [
+        (
+            "27,27,18,9/18,9",
+            10**6,
+            10**4,
+            {
+                5000: -int(
+                    "82450560437830614946115051427263566183502788186247383318269393850888635452183"
+                    "746744351215809894615161323408665015787773437500000000000"
+                )
+            },
+        ),
+        (SEVEN_ROWS, 360, 360, {120: -92744228127262588800}),
+    ],
+    ids=["27,27,18,9/18,9 k=10^6 m=10^4", "seven rows k=m=360"],
+)
+def test_analyze_with_mod_dividing_vars_reads_root_values(capsys, shape, k, m, nonzero):
+    # one runner pass per divisor of m and no determinant budget: the first was
+    # refused (estimated cost 3.2e21 units) and the second took 297 s by the determinant
+    argv = ["analyze", "--shape", shape, "--vars", str(k), "--mod", str(m)]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    json_code, json_out, _ = invoke(capsys, argv + ["--json"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, json_code, err) == (0, 0, "")
+    # a_m is pinned by the orbit sum: the d * a_d add up to the filling count
+    count = count_ssyt(SkewShape.parse(shape), k)
+    a = {d: nonzero.get(d, 0) for d in divisors(m)}
+    a[m] = (count - sum(d * c for d, c in a.items())) // m
+    assert sum(d * c for d, c in a.items()) == count
+    lines = ["verdict: pre-csp", *(f"a_{d} = {c}" for d, c in a.items()), "csp guaranteed: no"]
+    assert out == "\n".join(lines) + "\n"
+    assert list(json.loads(json_out)["a"].items()) == [(str(d), c) for d, c in a.items()]
 
 
 def test_specialize_coefficient_count_is_bounded(capsys):
