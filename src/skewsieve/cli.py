@@ -1,19 +1,21 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required, or a flag past its budget), 2 usage error, 3
-internal error (a broken invariant inside the library, reported as one
-line on stderr).  argparse raises every usage error.  A command returns
-its JSON payload and its text (``verify`` also its exit code), and ``run``
-writes one of them to stdout once, after the command succeeds, so an
-error leaves stdout empty.  All output is deterministic; divisor maps
-keep the ascending key order in which ``analyze`` returns them.
+where one is required, or a flag past its budget) or a stdout closed by
+its reader, 2 usage error, 3 internal error (a broken invariant inside
+the library, reported as one line on stderr).  argparse raises every
+usage error.  A command returns its JSON payload and its text
+(``verify`` also its exit code), and ``run`` writes one of them to
+stdout once, after the command succeeds, so an error leaves stdout
+empty.  All output is deterministic; divisor maps keep the ascending key
+order in which ``analyze`` returns them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -129,7 +131,8 @@ def _cmd_specialize(args):
 
 
 def _cmd_analyze(args):
-    # ``divisors`` trial-divides up to the square root of the modulus
+    # ``divisors`` trial-divides up to the square root of the modulus only
+    # when it has a large prime factor
     _at_most("--mod", args.mod, 12, "analyze")
     # the shift pads that many zero coefficients before the fold
     _at_most("--shift", args.shift or 0, 6, "analyze")
@@ -196,6 +199,9 @@ def _cmd_bst(args):
     }
     lines = [f"{key}: {payload[key]}" for key in ("count", "epsilon")]
     if args.show:
+        # each listed tableau builds |λ/μ| / D strips, about 2 µs each
+        strips = min(args.show, value.bst_count) * (args.shape.size // args.order)
+        _at_most("the listed strip count", strips, 6, "bst")
         shown = list(islice(enumerate_bst(args.shape, args.order), args.show))
         payload["tableaux"] = [
             {"heights": list(t.heights), "total_height": t.total_height} for t in shown
@@ -318,4 +324,12 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's exit flush to
+        # devnull so it does not raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -11,9 +11,9 @@ for each divisor d of m.  Reducing modulo q^m - 1 folds exponents into
 residue classes; a reduced polynomial lies in the span of the B_d exactly
 when its coefficients are constant on the classes {j : gcd(j, m) = g}.
 The value on class g is the sum of the coefficients of B_(m/e) over the
-divisors e of g, so the basis coefficients are recovered one divisor at a
-time in increasing order, each by subtracting the ones already known.
-The same walk reads the basis off root-of-unity values: at an m-th root
+divisors e of g, so the basis coefficients are its Mobius inversion, one
+prime of m at a time; that factorisation also gives the divisors.  The
+same inversion reads the basis off root-of-unity values: at an m-th root
 of unity of order m/g, B_d is d when d divides g and 0 otherwise, so the
 value of the polynomial there is the sum of d * a_d over the divisors d
 of g (``analysis`` takes this route when m divides the variable count).
@@ -122,22 +122,22 @@ class CspDecomposition(NamedTuple):
 
 
 def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1.
-
-    Trial division up to sqrt(n): O(sqrt(n)) steps, the only cost in the
-    modulus that ``csp_decompose`` pays.
-    """
+    """Sorted positive divisors of n >= 1, expanded prime power by prime
+    power.  Trial division stops at the square root of the part of n not
+    yet factored, so only a large prime factor costs up to O(sqrt(n))."""
     if n < 1:
         raise ValueError("n must be positive")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs, p = [1], 2
+    while p * p <= n:
+        if n % p == 0:
+            block = len(divs)
+            while n % p == 0:
+                n //= p
+                divs += [d * p for d in divs[-block:]]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
 def reduce_mod(f: QPoly, m: int) -> QPoly:
@@ -154,17 +154,18 @@ def reduce_mod(f: QPoly, m: int) -> QPoly:
 
 def _invert_divisor_sums(divs: list[int], value: dict[int, int]) -> dict[int, int]:
     """The b_g with value[g] equal to the sum of b_e over the divisors e of
-    g, for g in the ascending divisor list ``divs`` of m.  Every proper
-    divisor of g comes before g, so walking g upward gives each b_g as
-    value[g] less the terms already known: O(tau(m)^2) steps.  The result
-    keeps the order of ``divs``."""
-    known: dict[int, int] = {}
-    for g in divs:
-        total = value[g]
-        for e in known:
-            if g % e == 0:
-                total -= known[e]
-        known[g] = total
+    g, for the ascending divisors ``divs`` of m (the key order of
+    ``value`` and of the result).  The sums run along each prime's
+    exponent, so one prime p at a time b[g] -= b[g / p], g walking down; a
+    divisor is prime when coprime to the primes before it.  O(tau(m) * omega(m))."""
+    known = dict(value)
+    radical = 1  # the product of the primes found so far
+    for p in divs[1:]:
+        if gcd(p, radical) == 1:
+            radical *= p
+            for g in reversed(divs):
+                if g % p == 0:
+                    known[g] -= known[g // p]
     return known
 
 
@@ -175,11 +176,9 @@ def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     read at its least member q^g (q^0 for g = m); every stored r_j is
     checked against its class, and a class whose greatest member m - g
     lies past the stored coefficients must read 0.  The value on class g
-    is the sum of a_(m/e) over the divisors e of g, so walking g upward
-    (``_invert_divisor_sums``) gives each a_(m/g) as that value less the
-    terms already known; the coefficients come in ascending divisor
-    order.  Beyond ``divisors(m)`` the cost is O(len(f) + tau(m)^2),
-    where tau(m) counts the divisors of m.
+    is the sum of a_(m/e) over the divisors e of g; ``_invert_divisor_sums``
+    gives each a_(m/g), in ascending divisor order.  Beyond ``divisors(m)``
+    the cost is O(len(f) + tau(m) * omega(m)) for omega(m) primes of m.
     """
     if m < 1:
         raise ValueError("modulus must be positive")

@@ -6,7 +6,8 @@ strip builders and predicates on ``SkewShape`` read row lengths only.  The
 polynomial helpers at the end (coefficient reads, linear combinations, the
 divisor basis, q -> q^s, the q-binomial fold identity and its
 coefficients, and the dense Mobius-inversion decomposition) build on
-``QPoly`` only.
+``QPoly`` only; the trial-division divisors and the pairwise divisor-sum
+inversion are the references for the factorisation routes in ``qpoly``.
 """
 
 from __future__ import annotations
@@ -393,6 +394,35 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def divisors_by_trial(n: int) -> list[int]:
+    """Reference for ``divisors``: every d up to sqrt(n), paired with n // d."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def invert_divisor_sums_pairwise(divs: list[int], value: dict[int, int]) -> dict[int, int]:
+    """Reference for ``qpoly._invert_divisor_sums``: walking the ascending
+    divisors upward, b_g is value[g] less every b_e already known with e
+    dividing g, O(tau(m)^2)."""
+    known: dict[int, int] = {}
+    for g in divs:
+        total = value[g]
+        for e in known:
+            if g % e == 0:
+                total -= known[e]
+        known[g] = total
+    return known
 
 
 def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:

@@ -567,8 +567,10 @@ def test_kronecker_determinant_is_bounded(capsys, argv):
             },
         ),
         (SEVEN_ROWS, 360, 360, {120: -92744228127262588800}),
+        # the largest divisor count at the --mod limit, tau(m) = 6720
+        ("2,1", 963761198400, 963761198400, {321253732800: -1}),
     ],
-    ids=["27,27,18,9/18,9 k=10^6 m=10^4", "seven rows k=m=360"],
+    ids=["27,27,18,9/18,9 k=10^6 m=10^4", "seven rows k=m=360", "2,1 k=m=963761198400"],
 )
 def test_analyze_with_mod_dividing_vars_reads_root_values(capsys, shape, k, m, nonzero):
     # one runner pass per divisor of m and no determinant budget: the first was
@@ -587,6 +589,40 @@ def test_analyze_with_mod_dividing_vars_reads_root_values(capsys, shape, k, m, n
     lines = ["verdict: pre-csp", *(f"a_{d} = {c}" for d, c in a.items()), "csp guaranteed: no"]
     assert out == "\n".join(lines) + "\n"
     assert list(json.loads(json_out)["a"].items()) == [(str(d), c) for d, c in a.items()]
+
+
+def test_bst_listing_is_bounded(capsys):
+    # each listed tableau builds |λ/μ| / D strips, so min(N, count) times that is
+    # checked before any tableau is listed
+    staircase = ",".join(str(i) for i in range(24, 0, -2))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["bst", "--shape", staircase, "--order", "2", "--show", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: the listed strip count 1560000 is above the limit of 10^6 for bst\n"
+    # N is capped by the tableau count: three tableaux of three strips each
+    code, out, err = invoke(capsys, ["bst", "--shape", "3,3", "--order", "2", "--show", "1000000"])
+    assert (code, err) == (0, "")
+    assert out.count("\n\n") == 2
+
+
+def test_closed_stdout_exits_quietly():
+    # about 1.3 MB of output, well past a pipe buffer: the reader closes early
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewsieve", "specialize", "--shape", "1", "--vars", "100000"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(20) == b"1 + q + q^2 + q^3 + "
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_specialize_coefficient_count_is_bounded(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
+    _invert_divisor_sums,
     _q_binomial_at,
     csp_decompose,
     divisors,
@@ -22,6 +23,8 @@ from helpers import (
     coefficient,
     complex_root_value,
     csp_decompose_dense,
+    divisors_by_trial,
+    invert_divisor_sums_pairwise,
     linear_combination,
     mobius,
     q_binomial_at_in_k_steps,
@@ -112,6 +115,34 @@ def test_divisors():
     assert divisors(24) == [1, 2, 3, 4, 6, 8, 12, 24]
     with pytest.raises(ValueError):
         divisors(0)
+    # the prime-power expansion against trial division: every n below 5000, random
+    # n below 10^12, the most divisors at 10^12 (6720), a prime, 2^39 and 720720
+    rng = random.Random(18)
+    large = [rng.randrange(1, 10**12) for _ in range(30)]
+    for n in [*range(1, 5000), *large, 963761198400, 999999999989, 2**39, 720720]:
+        assert divisors(n) == divisors_by_trial(n)
+
+
+def _assert_inversions_agree(divs, value):
+    before = dict(value)
+    got = _invert_divisor_sums(divs, value)
+    assert list(got.items()) == list(invert_divisor_sums_pairwise(divs, value).items())
+    assert list(value.items()) == list(before.items())
+
+
+def test_invert_divisor_sums_matches_the_pairwise_walk():
+    # values and ascending key order, for every m up to 2000 and for tau(720720) = 240
+    rng = random.Random(17)
+    for m in [*range(1, 2001), 720720]:
+        divs = divisors(m)
+        _assert_inversions_agree(divs, {g: rng.randint(-10**6, 10**6) for g in divs})
+
+
+@given(st.integers(1, 10**6), st.randoms(use_true_random=False))
+def test_divisor_routes_match_the_references_property(m, rng):
+    divs = divisors(m)
+    assert divs == divisors_by_trial(m)
+    _assert_inversions_agree(divs, {g: rng.randint(-10**9, 10**9) for g in divs})
 
 
 def test_basis_element():
