@@ -28,11 +28,14 @@ from .shapes import Partition, SkewShape, partition_from_beta
 
 
 class SkewQuotient(NamedTuple):
-    """Componentwise quotient of a skew shape; components is None when the
-    inner and outer displays cannot be matched runner by runner."""
+    """Componentwise quotient of a skew shape; components is None, and the
+    quotient missing, when the displays cannot be matched runner by runner."""
 
-    exists: bool
     components: tuple[SkewShape, ...] | None
+
+    @property
+    def exists(self) -> bool:
+        return self.components is not None
 
 
 def display(lam: Partition, d: int, r: int) -> str:
@@ -118,10 +121,10 @@ def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:
     """
     components, _ = _runners(shape, d)
     if components is None:
-        return SkewQuotient(False, None)
+        return SkewQuotient(None)
     rows = [components.get(t, ((), ())) for t in range(d)]
-    return SkewQuotient(True, tuple(SkewShape(partition_from_beta(a), partition_from_beta(b))
-                                    for a, b in rows))
+    return SkewQuotient(tuple(SkewShape(partition_from_beta(a), partition_from_beta(b))
+                              for a, b in rows))
 
 
 def runner_classes(shape: SkewShape, d: int) -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,8 @@ Two structural conditions are known to force a nonnegative divisor-basis
 decomposition (hence a cyclic sieving interpretation of the coefficients):
 every row difference divisible by the modulus together with either a
 variable count divisible by the modulus, or the shape being a border
-strip.  The harness treats any violation of those guarantees as a bug in
-this library, never as a finding.
+strip; ``CspReport.csp_guaranteed`` reads this rule off the three flags.
+Any violation of the guarantee is a bug in this library, never a finding.
 
 When the modulus m divides the variable count k, the specialization at
 an m-th root of unity w of order e is ``eval_at_root(shape, k, e)``: the
@@ -30,7 +30,7 @@ from .shapes import SkewShape, is_border_strip
 
 
 class CspReport(NamedTuple):
-    """Decomposition of a principal specialization plus the guarantee flags.
+    """Decomposition of a specialization plus the flags that decide the guarantee.
 
     When the verdict is CSP, coefficient d of the decomposition counts the
     orbits of size d of the (cyclic) action whose existence it certifies.
@@ -40,7 +40,10 @@ class CspReport(NamedTuple):
     row_diffs_divisible: bool
     vars_divisible: bool
     border_strip: bool
-    csp_guaranteed: bool
+
+    @property
+    def csp_guaranteed(self) -> bool:
+        return self.row_diffs_divisible and (self.vars_divisible or self.border_strip)
 
 
 def _from_root_values(shape: SkewShape, k: int, m: int) -> CspDecomposition:
@@ -56,8 +59,7 @@ def _from_root_values(shape: SkewShape, k: int, m: int) -> CspDecomposition:
                 f"which {g} does not divide; this indicates a bug in this library"
             )
         a[g] = total // g
-    verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
-    return CspDecomposition(m, verdict, a)
+    return CspDecomposition(m, a)
 
 
 def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
@@ -72,20 +74,13 @@ def analyze(shape: SkewShape, k: int, m: int) -> CspReport:
     else:
         dec = csp_decompose(principal_specialization(shape, k, mod=m), m)
     row_div = all(diff % m == 0 for diff in shape.row_diffs())
-    strip = is_border_strip(shape)
-    guaranteed = row_div and (vars_div or strip)
-    if guaranteed and dec.verdict is not Verdict.CSP:
+    report = CspReport(dec, row_div, vars_div, is_border_strip(shape))
+    if report.csp_guaranteed and dec.verdict is not Verdict.CSP:
         raise RuntimeError(
             f"guaranteed case came out {dec.verdict.value} for {shape}, "
             f"k={k}, m={m}; this indicates a bug in this library"
         )
-    return CspReport(
-        decomposition=dec,
-        row_diffs_divisible=row_div,
-        vars_divisible=vars_div,
-        border_strip=strip,
-        csp_guaranteed=guaranteed,
-    )
+    return report
 
 
 def analyze_shifted(shape: SkewShape, k: int, m: int, shift: int) -> CspDecomposition:

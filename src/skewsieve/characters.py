@@ -45,9 +45,12 @@ class BorderStripTableau(NamedTuple):
 class SkewCharValue(NamedTuple):
     """value = epsilon * bst_count, with epsilon = 0 iff there are no tableaux."""
 
-    value: int
     bst_count: int
     epsilon: int
+
+    @property
+    def value(self) -> int:
+        return self.epsilon * self.bst_count
 
 
 def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
@@ -122,14 +125,13 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
         raise ValueError("size mismatch: strip size must divide the shape size")
     components, matching = _runners(shape, d)
     if components is None:
-        return SkewCharValue(0, 0, 0)
+        return SkewCharValue(0, 0)
     count, placed = 1, 0
     for a, b in components.values():
         size = sum(a) - sum(b)
         placed += size
         count *= comb(placed, size) * _standard_count(a, b, size)
-    sign = permutation_sign(matching)
-    return SkewCharValue(sign * count, count, sign)
+    return SkewCharValue(count, permutation_sign(matching))
 
 
 def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:

@@ -33,7 +33,7 @@ from .characters import (
 )
 from .checks import builtin_checks
 from .qpoly import QPoly, Verdict
-from .schur import _kronecker_cost, principal_specialization
+from .schur import _elimination_cost, _kronecker_cost, principal_specialization
 from .shapes import Composition, Partition, SkewShape
 
 
@@ -83,20 +83,29 @@ def _at_most(name: str, value: int, power: int, command: str) -> None:
 
 def _determinant_budget(args, command: str) -> None:
     """Refuse a Kronecker determinant whose estimated cost passes 10^12
-    units, about 2 s on CPython 3.11.  The estimate is not printed: it has
-    about twice as many digits as ``--vars``."""
-    if _kronecker_cost(args.shape, args.vars) > 10**12:
+    units, about 2 s on CPython 3.11.  The row term comes first, so a tall
+    shape is refused before ``count_ssyt`` runs.  The estimate is not
+    printed: it has about twice as many digits as ``--vars``."""
+    if _elimination_cost(args.shape) > 10**12 or _kronecker_cost(args.shape, args.vars) > 10**12:
         raise ValueError(f"the estimated determinant cost is above the limit of 10^12 units for {command}")
+
+
+def _display_budget(partitions, d: int, r: int, command: str) -> None:
+    """Refuse r-bead displays of more than 10^6 cells in all: each is d
+    columns wide and has a row for every d positions up to its largest
+    bead, part_1 + r - 1."""
+    cells = d * sum((lam.part(0) + r - 1) // d + 1 for lam in partitions)
+    _at_most("the display cell count", cells, 6, command)
 
 
 def _decomposition(dec) -> tuple[dict, list[str]]:
     """The JSON fields and the text lines of a decomposition."""
-    lines = [f"verdict: {dec.verdict.value}"]
-    a = None
+    verdict, a = dec.verdict.value, None
+    lines = [f"verdict: {verdict}"]
     if dec.coefficients is not None:
         a = {str(d): c for d, c in dec.coefficients.items()}
         lines += [f"a_{d} = {c}" for d, c in a.items()]
-    return {"m": dec.m, "verdict": dec.verdict.value, "a": a}, lines
+    return {"m": dec.m, "verdict": verdict, "a": a}, lines
 
 
 def _bst_grid(tableau, shape: SkewShape) -> str:
@@ -167,6 +176,7 @@ def _cmd_quotient(args):
     text = ""
     if args.abacus:
         r = max(args.shape.outer.length, 1)
+        _display_budget((args.shape.outer, args.shape.inner), args.order, r, "quotient --abacus")
         text = (
             f"outer:\n{display(args.shape.outer, args.order, r)}\n"
             f"inner:\n{display(args.shape.inner, args.order, r)}\n"
@@ -182,14 +192,16 @@ def _cmd_core(args):
     text = ""
     if args.abacus:
         _at_most("--order", args.order, 5, "core --abacus")
-        text = display(args.partition, args.order, max(args.partition.length, 1)) + "\n"
+        r = max(args.partition.length, 1)
+        _display_budget((args.partition,), args.order, r, "core --abacus")
+        text = display(args.partition, args.order, r) + "\n"
     result = str(core(args.partition, args.order))
     return {"core": result}, text + result
 
 
 def _cmd_bst(args):
     if args.shape.size % args.order != 0:
-        value = SkewCharValue(0, 0, 0)
+        value = SkewCharValue(0, 0)
     else:
         value = skew_char_rect(args.shape, args.order)
     payload = {
@@ -215,7 +227,8 @@ def _cmd_char(args):
     if args.nu is not None:
         value = skew_char(args.shape, args.nu)
         return {"value": value}, str(value)
-    payload = skew_char_rect(args.shape, args.type)._asdict()
+    char = skew_char_rect(args.shape, args.type)
+    payload = {"value": char.value, "bst_count": char.bst_count, "epsilon": char.epsilon}
     return payload, "\n".join(f"{key}: {value}" for key, value in payload.items())
 
 

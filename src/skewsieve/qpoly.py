@@ -112,13 +112,18 @@ class Verdict(enum.Enum):
 class CspDecomposition(NamedTuple):
     """Divisor-basis coordinates of a polynomial modulo q^m - 1.
 
-    ``coefficients`` maps each divisor d of m to the coefficient of B_d;
-    it is None exactly when the verdict is NOT_PRE_CSP.
+    ``coefficients`` maps each divisor d of m to the coefficient of B_d,
+    or is None off the basis span; the verdict is read off them.
     """
 
     m: int
-    verdict: Verdict
     coefficients: dict[int, int] | None
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.coefficients is None:
+            return Verdict.NOT_PRE_CSP
+        return Verdict.CSP if all(v >= 0 for v in self.coefficients.values()) else Verdict.PRE_CSP
 
 
 def divisors(n: int) -> list[int]:
@@ -188,14 +193,12 @@ def csp_decompose(f: QPoly, m: int) -> CspDecomposition:
     value = {g: r[g % m] if g % m < n else 0 for g in divs}
     for j, c in enumerate(r):
         if c != value[gcd(j, m)]:
-            return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+            return CspDecomposition(m, None)
     for g in divs:
         if g < m and m - g >= n and value[g]:
-            return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+            return CspDecomposition(m, None)
     known = _invert_divisor_sums(divs, value)  # known[g] = a_(m/g)
-    a = {d: known[m // d] for d in divs}
-    verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
-    return CspDecomposition(m, verdict, a)
+    return CspDecomposition(m, {d: known[m // d] for d in divs})
 
 
 def eval_at_primitive_root(f: QPoly, m: int, j: int) -> int:

@@ -93,14 +93,28 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     return QPoly(coeffs)
 
 
+def _elimination_cost(shape: SkewShape) -> int:
+    """The interpreter's share of ``_kronecker_cost``, known without
+    ``count_ssyt``: estimating and building the specialization of l rows
+    takes three l x l eliminations (the ``count_ssyt`` of the estimate,
+    then that of the route and the determinant), about l^3 updates in all
+    at 60 to 200 ns each whatever their bits.  One-cell shapes of 100 to
+    300 rows at k = 2 took 90 to 115 ns per l^3 (2 CPUs), so l^3 costs
+    5 * 10^4 units and the 10^12 limit falls near 270 rows."""
+    return 5 * 10**4 * shape.outer.length**3
+
+
 def _kronecker_cost(shape: SkewShape, k: int) -> int:
     """Estimated cost of ``principal_specialization(shape, k)``, read off
     ``count_ssyt`` before anything is built.  The unit is one bit-by-bit
-    step of CPython's schoolbook long division, about 2 ns on CPython 3.11
-    (2 CPUs); on measured runs of 1 to 20 rows that took over 0.1 s, the
-    time was 0.5 to 1.8 times the estimate.  With b = 8w, and D the
-    b(N(k - 1) + 1) bits of the determinant of the N-cell shape:
+    step of CPython's schoolbook long division, about 2 ps on CPython 3.11
+    (2 CPUs), so 10^12 units is about 2 s; on measured runs of 1 to 20
+    rows that took over 0.1 s, the time was 0.5 to 1.8 times the bit
+    work below.  With b = 8w, and D the b(N(k - 1) + 1) bits of the
+    determinant of the N-cell shape:
 
+    - ``_elimination_cost`` adds the interpreter's work per Bareiss
+      update, whatever the bits, 5 * 10^4 units per l^3;
     - the entry h_e takes s = min(e, k - 1) divisions, the i-th of about
       b*t*i bits (t = max(e, k - 1)) by b*i bits, plus about 300 units per
       bit of the dividend;
@@ -116,7 +130,7 @@ def _kronecker_cost(shape: SkewShape, k: int) -> int:
     tops, bottoms = shape.beta_sets()
     l, b = len(tops), 8 * _width(count_ssyt(shape, k))
     det_bits = b * (shape.size * (k - 1) + 1)
-    cost = 1000 * det_bits
+    cost = _elimination_cost(shape) + 1000 * det_bits
     for e in (a - c for a in tops for c in bottoms if a > c):
         s, t = min(e, k - 1), max(e, k - 1)
         # the sum over i <= s of b*t*i * (b*i + 300)

@@ -19,7 +19,6 @@ from typing import Iterable
 from skewsieve.qpoly import (
     CspDecomposition,
     QPoly,
-    Verdict,
     divisors,
     gaussian_binomial,
     reduce_mod,
@@ -439,7 +438,7 @@ def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:
         g = gcd(j, m)
         if g in class_value:
             if class_value[g] != coeffs[j]:
-                return CspDecomposition(m, Verdict.NOT_PRE_CSP, None)
+                return CspDecomposition(m, None)
         else:
             class_value[g] = coeffs[j]
     divs = divisors(m)
@@ -452,5 +451,4 @@ def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:
             if d % h == 0:
                 total += mobius(d // h) * u[d]
         a[h] = total
-    verdict = Verdict.CSP if all(v >= 0 for v in a.values()) else Verdict.PRE_CSP
-    return CspDecomposition(m, verdict, a)
+    return CspDecomposition(m, a)

@@ -167,11 +167,16 @@ def test_matching_pairs_rows_within_residue_classes():
 def test_quotient_routes_cost_nothing_per_empty_runner():
     # each call holds one to seven beads; a list per runner would take megabytes
     d = 200_000
+
+    def char_numbers():
+        r = skew_char_rect(SkewShape(Partition([d])), d)
+        return r.value, r.bst_count, r.epsilon
+
     cases = [
         (lambda: perm(SkewShape.parse("3,1"), d), "cores differ"),
         (lambda: eval_at_root(SkewShape.parse("4,4/1"), d, d), 0),
         (lambda: core(Partition([9, 9, 6, 6, 6, 4, 1]), d), Partition([9, 9, 6, 6, 6, 4, 1])),
-        (lambda: skew_char_rect(SkewShape(Partition([d])), d), (1, 1, 1)),
+        (char_numbers, (1, 1, 1)),
     ]
     for call, expected in cases:
         tracemalloc.start()

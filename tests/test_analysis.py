@@ -1,13 +1,17 @@
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewsieve import analysis, schur
-from skewsieve.analysis import analyze, analyze_shifted
+from skewsieve.abacus import SkewQuotient
+from skewsieve.analysis import CspReport, analyze, analyze_shifted
+from skewsieve.characters import SkewCharValue
 from skewsieve.cli import run
 from skewsieve.qpoly import (
+    CspDecomposition,
     QPoly,
     Verdict,
     csp_decompose,
@@ -49,6 +53,23 @@ def test_analyze_trivial_shape():
     assert rep.decomposition.coefficients == {d: (1 if d == 1 else 0) for d in divisors(6)}
     assert rep.row_diffs_divisible and not rep.csp_guaranteed  # 6 does not divide 5
     assert analyze(SkewShape(lam, lam), 6, 6).csp_guaranteed
+
+
+def test_records_store_only_the_fields_that_decide_them():
+    assert CspDecomposition._fields == ("m", "coefficients")
+    assert CspReport._fields == ("decomposition", "row_diffs_divisible", "vars_divisible", "border_strip")
+    assert SkewQuotient._fields == ("components",)
+    assert SkewCharValue._fields == ("bst_count", "epsilon")
+    assert not SkewQuotient(None).exists and SkewQuotient(()).exists
+    assert SkewCharValue(5, -1).value == -5 and SkewCharValue(0, 0).value == 0
+
+
+def test_guarantee_is_read_off_the_flags():
+    # divisible row differences, and divisible variables or a border strip
+    guaranteed = {(True, True, False), (True, False, True), (True, True, True)}
+    dec = CspDecomposition(2, {1: 1, 2: 0})
+    for flags in product((False, True), repeat=3):
+        assert CspReport(dec, *flags).csp_guaranteed is (flags in guaranteed)
 
 
 def test_analyze_full_path_agrees():

@@ -398,6 +398,22 @@ def test_d_tuple_outputs_are_bounded(capsys, argv, command):
     assert out
 
 
+@pytest.mark.parametrize(
+    "command, cells",
+    [("core", 2 * (10**8 // 2 + 1)), ("quotient", 2 * (10**8 // 2 + 1) + 2)],
+)
+def test_abacus_display_height_is_bounded(capsys, command, cells):
+    # a display has a row for every D bead positions, so a long first part makes it tall
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, [command, "--shape", str(10**8), "--order", "2", "--abacus"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the display cell count {cells} is above the limit of 10^6 for {command} --abacus\n"
+    code, out, err = invoke(capsys, ["core", "--shape", "1000", "--order", "2", "--abacus"])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 501 + 1
+
+
 def test_unbounded_orders_stay_fast(capsys):
     # core without a display and perm read only the l beads, whatever D is
     assert invoke(capsys, ["core", "--shape", "3,1", "--order", str(10**9)]) == (0, "3,1\n", "")
@@ -550,6 +566,34 @@ def test_kronecker_determinant_is_bounded(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+def one_cell_on_rows(rows):
+    return ",".join(["1"] * rows) + "/" + ",".join(["1"] * (rows - 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["specialize", "--shape", one_cell_on_rows(400), "--vars", "2"],
+        ["analyze", "--shape", one_cell_on_rows(400), "--vars", "3", "--mod", "2"],
+        ["specialize", "--shape", ",".join(["1"] * 600), "--vars", "2"],
+    ],
+    ids=["specialize 400 rows", "analyze 400 rows", "specialize 600 rows"],
+)
+def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
+    # the first two took 8.5 s and 15 s for one cell; the third was refused only after
+    # its 5.6 s filling count, which the row term now comes before
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+def test_tall_determinant_below_the_row_limit_answers(capsys):
+    argv = ["specialize", "--shape", one_cell_on_rows(200), "--vars", "2"]
+    assert invoke(capsys, argv) == (0, "1 + q\n", "")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewsieve.qpoly import (
+    CspDecomposition,
     QPoly,
     Verdict,
     _invert_divisor_sums,
@@ -224,6 +225,12 @@ def test_csp_decompose_examples():
     zero = csp_decompose(QPoly(), 6)
     assert zero.verdict is Verdict.CSP
     assert all(v == 0 for v in zero.coefficients.values())
+
+
+def test_verdict_is_read_off_the_coordinates():
+    assert CspDecomposition(4, None).verdict is Verdict.NOT_PRE_CSP
+    assert CspDecomposition(4, {1: 0, 2: 3, 4: 1}).verdict is Verdict.CSP
+    assert CspDecomposition(4, {1: -1, 2: 1, 4: 1}).verdict is Verdict.PRE_CSP
 
 
 def test_csp_decompose_round_trip():
