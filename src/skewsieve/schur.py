@@ -6,12 +6,13 @@ over the outer and inner beta-sets a and b at the outer length
 polynomial, where h is a q-binomial, and the filling counts of
 ``count_ssyt`` and ``characters.eval_at_root``.  The brute-force route
 steps through every semistandard filling in lexicographic order and is
-kept as an independent check.  Both the polynomial and the filling count come from
-one integer determinant, fraction-free (Bareiss) elimination in O(l^3)
-operations: at q = 1 for the count, and at q = 2^(8w) for the polynomial,
-whose coefficients are then read off as base-2^(8w) digits (Kronecker
-substitution).  The fold mod q^m - 1 is taken last, on that integer, as
-its remainder modulo 2^(8wm) - 1.
+kept as an independent check.  Both the polynomial and the filling count
+come from one integer determinant: at q = 1 for the count, and at
+q = 2^(8w) for the polynomial, whose coefficients are then read off as
+base-2^(8w) digits (Kronecker substitution).  It is the product over
+the diagonal blocks, one per run of rows that share columns, each by
+fraction-free (Bareiss) elimination in O(l^3) operations.  The fold mod
+q^m - 1 is taken last, on that integer, as its remainder mod 2^(8wm) - 1.
 """
 
 from __future__ import annotations
@@ -55,8 +56,19 @@ def _integer_det(rows: list[list[int]]) -> int:
 def _jt_det(tops: Sequence[int], bottoms: Sequence[int], h: Callable[[int], int]) -> int:
     """det[h(a_i - b_j)] over the outer and inner beta-sets ``tops`` and
     ``bottoms`` of one length, with h taken as 0 below 0: the Jacobi-Trudi
-    determinant with complete homogeneous values h."""
-    return _integer_det([[h(a - b) if a >= b else 0 for b in bottoms] for a in tops])
+    determinant with complete homogeneous values h.  Where a_(i+1) < b_i,
+    rows i and i + 1 share no column and every entry below row i left of
+    column i + 1 is 0, so the determinant is the product of the diagonal
+    blocks' and no entry off them is built."""
+    det, start, l = 1, 0, len(tops)
+    for end in range(1, l + 1):
+        if end == l or tops[end] < bottoms[end - 1]:
+            columns = bottoms[start:end]
+            det *= _integer_det([[h(a - b) if a >= b else 0 for b in columns] for a in tops[start:end]])
+            if not det:
+                return 0
+            start = end
+    return det
 
 
 def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -> QPoly:
@@ -208,7 +220,7 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     """Number of semistandard fillings with entries <= k.
 
     Evaluates the Jacobi-Trudi determinant at q = 1, where each entry
-    becomes a plain binomial multiset count, by integer elimination.
+    becomes a plain binomial multiset count, one diagonal block at a time.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -7,7 +7,9 @@ polynomial helpers at the end (coefficient reads, linear combinations, the
 divisor basis, q -> q^s, the q-binomial fold identity and its
 coefficients, and the dense Mobius-inversion decomposition) build on
 ``QPoly`` only; the trial-division divisors and the pairwise divisor-sum
-inversion are the references for the factorisation routes in ``qpoly``.
+inversion are the references for the factorisation routes in ``qpoly``,
+and the whole-matrix Jacobi-Trudi determinant is the reference for the
+block split in ``schur``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from skewsieve.qpoly import (
     gaussian_binomial,
     reduce_mod,
 )
+from skewsieve.schur import _integer_det
 from skewsieve.shapes import Partition, SkewShape
 
 
@@ -422,6 +425,13 @@ def invert_divisor_sums_pairwise(divs: list[int], value: dict[int, int]) -> dict
                 total -= known[e]
         known[g] = total
     return known
+
+
+def jt_det_whole(tops, bottoms, h) -> int:
+    """Reference for ``schur._jt_det``: det[h(a_i - b_j)], h taken as 0
+    below 0, as one l x l matrix through ``_integer_det``, not split into
+    diagonal blocks."""
+    return _integer_det([[h(a - b) if a >= b else 0 for b in bottoms] for a in tops])
 
 
 def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:

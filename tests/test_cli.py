@@ -582,8 +582,10 @@ def one_cell_on_rows(rows):
     ids=["specialize 400 rows", "analyze 400 rows", "specialize 600 rows"],
 )
 def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
-    # the first two took 8.5 s and 15 s for one cell; the third was refused only after
-    # its 5.6 s filling count, which the row term now comes before
+    # the first two took 8.5 s and 15 s for one cell while the route eliminated one
+    # l x l matrix; it now splits them into 1 x 1 blocks and answers in milliseconds,
+    # but the row term still counts all l rows and refuses them; the third was refused
+    # only after its 5.6 s filling count, which the row term now comes before
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 1.0

@@ -1,12 +1,16 @@
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from skewsieve import schur
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
+    _q_binomial_at,
+    _width,
     csp_decompose,
     divisors,
     eval_at_primitive_root,
@@ -18,6 +22,7 @@ from skewsieve.analysis import analyze
 from skewsieve.characters import eval_at_root
 from skewsieve.schur import (
     _fillings,
+    _jt_det,
     _kronecker_cost,
     count_ssyt,
     jt_matrix,
@@ -30,6 +35,7 @@ from helpers import (
     border_strip_shape,
     coefficient,
     compositions_with_parts,
+    jt_det_whole,
     partitions_up_to,
     subpartitions,
     substitute_power,
@@ -151,6 +157,54 @@ def test_root_value_matches_the_folded_specialization(lam, data):
 @given(small_skew_shapes(), st.integers(1, 4))
 def test_count_ssyt_counts_the_fillings(shape, k):
     assert count_ssyt(shape, k) == sum(1 for _ in _fillings(shape, k))
+
+
+@st.composite
+def disconnected_shapes(draw):
+    """(A + B, A, B): A = lam/mu shifted right by nu_1 and stacked above
+    B = nu/rho, so A's last row shares no column with B's first, with up
+    to two empty rows above A and between the two."""
+    a, b = draw(small_skew_shapes()), draw(small_skew_shapes())
+    shift, l = b.outer.part(0), a.outer.length
+    top = [a.outer.part(0) + shift] * draw(st.integers(0, 2))
+    middle = [shift] * draw(st.integers(0, 2))
+    outer = top + [p + shift for p in a.outer] + middle + list(b.outer)
+    inner = top + [a.inner.part(i) + shift for i in range(l)] + middle + list(b.inner)
+    return SkewShape(Partition(outer), Partition(inner)), a, b
+
+
+@settings(max_examples=150)
+@given(disconnected_shapes(), st.integers(1, 4))
+@example((SkewShape.parse("3,2,2,1/2,2,1"), SkewShape.parse("1/0"), SkewShape.parse("2,1/1")), 2)
+def test_determinant_is_the_product_over_disconnected_row_blocks(shapes, k):
+    shape, a, b = shapes
+    tops, bottoms = shape.beta_sets()
+    for n in range(1, 5):
+        count = lambda e: comb(e + n - 1, n - 1)
+        assert _jt_det(tops, bottoms, count) == jt_det_whole(tops, bottoms, count)
+    w = _width(count_ssyt(shape, k))
+    value = lambda e: _q_binomial_at(e, k, w)
+    assert _jt_det(tops, bottoms, value) == jt_det_whole(tops, bottoms, value)
+    assert principal_specialization(shape, k) == (
+        principal_specialization(a, k) * principal_specialization(b, k)
+    )
+
+
+def test_only_the_diagonal_blocks_are_eliminated(monkeypatch):
+    sizes, eliminate = [], schur._integer_det
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(schur, "_integer_det", recording)
+    # a staircase of single cells meeting only at corners: five 1 x 1 blocks
+    assert count_ssyt(SkewShape.parse("5,4,3,2,1/4,3,2,1"), 3) == 3**5
+    assert sizes == [1] * 5
+    # a det-rows band with w = 2: each row shares two columns with the next
+    sizes.clear()
+    assert count_ssyt(SkewShape.parse("14,12,10,8,6,4/10,8,6,4,2"), 3) > 0
+    assert sizes == [6]
 
 
 def test_reduced_path_matches_full_reduction():
