@@ -10,12 +10,14 @@ every strip-removal computation here works; diagrams never enter into it.
 Every route reads only the beads: one primitive takes a beta-set from
 ``Partition.beta_set`` onto the occupied runners, and ``quotient``,
 ``core`` and ``runner_classes`` read one display through it.  For skew
-computations ``SkewShape.beta_sets`` aligns the two displays and one pass
-pairs them as the d-quotient theorem states, the k-th outer bead on a
-runner with the k-th inner bead there: the cores agree when the counts
-do, the pairing is then the matching permutation, and the quotient
-exists when every outer bead lies at or beyond its partner.  That pass
-costs O(l) in the l beads, whatever d is; only the d-tuple outputs
+computations ``SkewShape.beta_sets`` aligns the two displays and one loop
+pairs them as the d-quotient theorem states: with the inner beads indexed
+by runner, the k-th outer bead on a runner takes the k-th inner bead
+there.  Both displays hold l beads, so the cores differ exactly when some
+outer bead finds no inner bead left on its runner; otherwise the pairing
+is the matching permutation, and the quotient is missing exactly when
+some outer bead lies below its partner.  That pass costs O(l) in the l
+beads, whatever d is; only the d-tuple outputs
 (``quotient``, ``skew_quotient``, ``runner_classes``, ``display``) visit
 every runner.
 """
@@ -86,31 +88,44 @@ def core(lam: Partition, d: int) -> Partition:
 def _runners(
     shape: SkewShape, d: int
 ) -> tuple[dict[int, tuple[list[int], list[int]]] | None, tuple[int, ...] | None]:
-    """The d-quotient theorem on the aligned displays, in one pass.
+    """The d-quotient theorem on the aligned displays, in one loop.
 
-    Returns (components, matching).  ``components`` maps each occupied
-    runner to its outer and inner bead rows, each decreasing (the beta-sets
-    of that quotient component); it is None when the quotient is missing.
-    ``matching`` is the one-line permutation pairing, runner by runner and
-    in increasing order, the rows whose outer beads and whose inner beads
-    sit there; it is None when the cores differ.
+    Returns (components, matching).  The inner beads are indexed by
+    runner, then the outer beads are walked in order, the k-th on a runner
+    taking the k-th inner bead there.  ``matching`` is the one-line
+    permutation of those pairs; it is None, with ``components``, when an
+    outer bead finds its runner's inner beads used up: both displays hold
+    l beads, so the cores differ.  ``components`` maps each occupied
+    runner, in the order of its first outer bead, to its outer and inner
+    bead rows, each decreasing (the beta-sets of that quotient component);
+    it is None when some outer bead lies below its partner, the quotient
+    missing.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     outer, inner = shape.beta_sets()
-    outer_on, inner_on = _on_runners(outer, d), _on_runners(inner, d)
-    # both displays hold l beads, so equal counts on the outer runners are equal cores
-    if any(len(at) != len(inner_on.get(t, ())) for t, at in outer_on.items()):
-        return None, None
-    image = [0] * len(outer)
-    for t, at in outer_on.items():
-        for i, j in zip(at, inner_on[t]):
-            image[i] = j + 1
-    matching = tuple(image)
-    if any(outer[i] < inner[j - 1] for i, j in enumerate(matching)):
-        return None, matching
-    return {t: ([outer[i] // d for i in at], [inner[j] // d for j in inner_on[t]])
-            for t, at in outer_on.items()}, matching
+    inner_on = _on_runners(inner, d)
+    components: dict[int, tuple[list[int], list[int]]] = {}
+    matching = []
+    nested = True
+    for p in outer:
+        t = p % d
+        rows = components.get(t)
+        if rows is None:
+            rows = components[t] = ([], [])
+        at = inner_on.get(t, ())
+        k = len(rows[0])
+        # both displays hold l beads, so an outer bead left unpaired is a core mismatch
+        if k == len(at):
+            return None, None
+        j = at[k]
+        b = inner[j]
+        matching.append(j + 1)
+        if p < b:
+            nested = False
+        rows[0].append(p // d)
+        rows[1].append(b // d)
+    return (components if nested else None), tuple(matching)
 
 
 def skew_quotient(shape: SkewShape, d: int) -> SkewQuotient:

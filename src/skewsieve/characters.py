@@ -5,8 +5,9 @@ bead slides taking the outer display down to the inner one, with strips
 numbered in descending order of removal.  Character values never need the
 tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
-times Aitken determinants for their standard fillings) and the sign from
-the residue-class matching permutation.  Both, and the root-of-unity
+times Aitken determinants for their standard fillings, whose component
+factorials cancel into one ratio of factorials) and the sign from the
+residue-class matching permutation.  Both, and the root-of-unity
 values, are read from the one pairing pass ``abacus._runners``: the bead
 rows of each occupied runner are the components' beta-sets, so no
 component shape is built, and no empty runner is visited.  Only arbitrary
@@ -99,16 +100,6 @@ def _strip_cells(beta: tuple[int, ...], p: int, d: int, height: int) -> frozense
                      for c in range(new + r + off, old + r + off))
 
 
-def _standard_count(tops: list[int], bottoms: list[int], size: int) -> int:
-    """Standard fillings f of the ``size``-cell skew shape whose outer and
-    inner beta-sets, of one length, are ``tops`` and ``bottoms``: Aitken's
-    f = N! det[1 / (a_i - b_j)!], row i scaled by a_i! and column j by
-    1 / b_j! into binomials C(a_i, b_j), whose minors stay far smaller."""
-    det = _integer_det([[comb(a, b) for b in bottoms] for a in tops])
-    num = factorial(size) * det * prod(map(factorial, bottoms))
-    return num // prod(map(factorial, tops))
-
-
 def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     """Character value on the rectangular type (d^m) with m = size / d.
 
@@ -116,8 +107,12 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     multinomial of the d-quotient component sizes times each component's
     number of standard fillings, and they all share the sign of the
     residue-class matching permutation; without a quotient there are none.
-    Components are read as bead rows, runner by runner: polynomial in the
-    number of rows, and no bead configuration is visited.
+    Aitken's count of a component with outer and inner bead rows a and b
+    is n_c! det[C(a_i, b_j)] prod b_j! / prod a_i!, and the multinomial
+    n! / prod n_c! cancels every n_c!, so with n = size / d the count is
+    n! prod_c det[C(a_i, b_j)] prod b_j! / prod a_i! over the beads of all
+    components, one exact division at the end.  Polynomial in the number
+    of rows, and no bead configuration is visited.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -126,12 +121,12 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     components, matching = _runners(shape, d)
     if components is None:
         return SkewCharValue(0, 0)
-    count, placed = 1, 0
+    count, tops, bottoms = factorial(shape.size // d), 1, 1
     for a, b in components.values():
-        size = sum(a) - sum(b)
-        placed += size
-        count *= comb(placed, size) * _standard_count(a, b, size)
-    return SkewCharValue(count, permutation_sign(matching))
+        count *= _integer_det([[comb(x, y) for y in b] for x in a])
+        tops *= prod(map(factorial, a))
+        bottoms *= prod(map(factorial, b))
+    return SkewCharValue(count * bottoms // tops, permutation_sign(matching))
 
 
 def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:

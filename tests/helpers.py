@@ -8,8 +8,9 @@ divisor basis, q -> q^s, the q-binomial fold identity and its
 coefficients, and the dense Mobius-inversion decomposition) build on
 ``QPoly`` only; the trial-division divisors and the pairwise divisor-sum
 inversion are the references for the factorisation routes in ``qpoly``,
-and the whole-matrix Jacobi-Trudi determinant is the reference for the
-block split in ``schur``.
+the whole-matrix Jacobi-Trudi determinant is the reference for the
+block split in ``schur``, and the pairing read off two runner
+dictionaries is the reference for the one-loop pass ``abacus._runners``.
 """
 
 from __future__ import annotations
@@ -432,6 +433,34 @@ def jt_det_whole(tops, bottoms, h) -> int:
     below 0, as one l x l matrix through ``_integer_det``, not split into
     diagonal blocks."""
     return _integer_det([[h(a - b) if a >= b else 0 for b in bottoms] for a in tops])
+
+
+def runners_by_two_displays(shape: SkewShape, d: int):
+    """Reference for ``abacus._runners``: both displays are sorted onto
+    their runners first, then the counts are compared, the k-th outer bead
+    on each runner is paired with the k-th inner bead there, and the pairs
+    are checked for nesting.  Returns (components, matching) as the pass
+    does."""
+    outer, inner = shape.beta_sets()
+
+    def on_runners(beta):
+        runners: dict[int, list[int]] = {}
+        for i, p in enumerate(beta):
+            runners.setdefault(p % d, []).append(i)
+        return runners
+
+    outer_on, inner_on = on_runners(outer), on_runners(inner)
+    if any(len(at) != len(inner_on.get(t, ())) for t, at in outer_on.items()):
+        return None, None
+    image = [0] * len(outer)
+    for t, at in outer_on.items():
+        for i, j in zip(at, inner_on[t]):
+            image[i] = j + 1
+    matching = tuple(image)
+    if any(outer[i] < inner[j - 1] for i, j in enumerate(matching)):
+        return None, matching
+    return {t: ([outer[i] // d for i in at], [inner[j] // d for j in inner_on[t]])
+            for t, at in outer_on.items()}, matching
 
 
 def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:

@@ -1,9 +1,12 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skewsieve.abacus import (
     _legal_moves,
+    _runners,
     core,
     display,
     quotient,
@@ -19,6 +22,7 @@ from helpers import (
     diagram_peel_exists,
     diagram_strip_removals,
     partitions_up_to,
+    runners_by_two_displays,
     subpartitions,
     subpartitions_mod,
 )
@@ -162,6 +166,64 @@ def test_matching_pairs_rows_within_residue_classes():
                 assert all(pi[i] < pi[j] for i in range(l) for j in range(i + 1, l)
                            if (a[i] - a[j]) % d == 0)
                 assert skew_quotient(shape, d).exists == all(x >= y for x, y in zip(a, partner))
+
+
+def _pass_outcome(result):
+    """A pass result with its components as a list, order included, and
+    which of the three outcomes it is."""
+    components, matching = result
+    kind = "cores differ" if matching is None else "missing" if components is None else "exists"
+    return kind, None if components is None else list(components.items()), matching
+
+
+def test_runner_pass_matches_two_displays_on_the_grid():
+    seen = set()
+    for lam in partitions_up_to(8):
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            for d in range(1, 7):
+                outcome = _pass_outcome(_runners(shape, d))
+                assert outcome == _pass_outcome(runners_by_two_displays(shape, d))
+                seen.add(outcome[0])
+    assert seen == {"cores differ", "missing", "exists"}
+
+
+@st.composite
+def bead_displays(draw):
+    """(shape, d) with l <= 14 rows, built from its beads: each outer bead
+    is drawn as a runner and a row.  Half the draws put the inner beads on
+    the same runners, so the cores agree and the quotient exists or fails
+    to nest; the other half draw the inner runners too, so the cores
+    mostly differ.  Rows start at 1, so the outer shape has l rows."""
+    l = draw(st.integers(1, 14))
+    d = draw(st.integers(1, l + 2) | st.sampled_from([10**5, 10**12]))
+    runner = st.integers(0, min(d, l + 2) - 1) | st.just(d - 1)
+    outer_on = draw(st.lists(runner, min_size=l, max_size=l))
+    same = draw(st.booleans())
+    inner_on = outer_on if same else draw(st.lists(runner, min_size=l, max_size=l))
+
+    def positions(on, lo):
+        beads = []
+        for t, count in sorted(Counter(on).items()):
+            rows = draw(st.lists(st.integers(lo, lo + count + 2), min_size=count,
+                                 max_size=count, unique=True))
+            beads += [(r + 1) * d + t for r in rows]
+        return sorted(beads, reverse=True)
+
+    outer = positions(outer_on, 0 if same else draw(st.integers(0, 2)))
+    inner = positions(inner_on, 0)
+    assume(all(a >= b for a, b in zip(outer, inner)))
+    return SkewShape(partition_from_beta(outer), partition_from_beta(inner)), d
+
+
+@settings(max_examples=300)
+@given(bead_displays())
+@example((SkewShape.parse("3,1/2"), 2))  # equal cores, runner 1 fails to nest
+@example((SkewShape(Partition([2 * 10**5 - 1, 1]), Partition([10**5])), 10**5))  # the same at 10^5
+@example((SkewShape.parse("3,1/1"), 2))  # the cores differ
+def test_runner_pass_matches_two_displays(case):
+    shape, d = case
+    assert _pass_outcome(_runners(shape, d)) == _pass_outcome(runners_by_two_displays(shape, d))
 
 
 def test_quotient_routes_cost_nothing_per_empty_runner():

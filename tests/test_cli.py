@@ -708,3 +708,38 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, out, err = invoke(capsys, ["specialize", "--shape", "2,1", "--vars", "3"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: the digits") and err.count("\n") == 1
+
+
+# Every module outside skewsieve that importing skewsieve.cli adds to a bare
+# interpreter (-S, so no site hook has loaded any of them first), by
+# top-level name.  C accelerators (_json, _sre, ...) differ between Python
+# versions and are left out.
+CLI_IMPORTS = {
+    "__future__", "argparse", "collections", "contextlib", "copyreg", "enum", "functools",
+    "genericpath", "gettext", "itertools", "json", "keyword", "math", "operator", "os",
+    "posixpath", "re", "reprlib", "stat", "types", "typing", "warnings",
+}
+
+
+def test_importing_the_cli_adds_no_module_and_warms_no_table():
+    # a fresh process compiles every module it imports, and a table filled
+    # at import time is paid by every command, whether it reads it or not
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import skewsieve.cli\n"
+        "from skewsieve.qpoly import gaussian_binomial\n"
+        "print(*(set(sys.modules) - before))\n"
+        "print(gaussian_binomial.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-E", "-S", "-c", code, src], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    added, cached = proc.stdout.splitlines()
+    outside = {name.partition(".")[0] for name in added.split()} - {"skewsieve"}
+    private = {name for name in outside if name.startswith("_") and name != "__future__"}
+    assert outside - private <= CLI_IMPORTS
+    assert cached == "0"
