@@ -27,7 +27,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, _runners
-from .schur import _integer_det, _jt_count
+from .schur import _charge_rows, _integer_det, _jt_count
 from .shapes import Composition, SkewShape
 
 
@@ -123,6 +123,7 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
         return SkewCharValue(0, 0)
     count, tops, bottoms = factorial(shape.size // d), 1, 1
     for a, b in components.values():
+        _charge_rows(len(a))
         count *= _integer_det([[comb(x, y) for y in b] for x in a])
         tops *= prod(map(factorial, a))
         bottoms *= prod(map(factorial, b))

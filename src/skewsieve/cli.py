@@ -1,14 +1,15 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required, or a flag past its budget) or a stdout closed by
-its reader, 2 usage error, 3 internal error (a broken invariant inside
-the library, reported as one line on stderr).  argparse raises every
-usage error.  A command returns its JSON payload and its text
-(``verify`` also its exit code), and ``run`` writes one of them to
-stdout once, after the command succeeds, so an error leaves stdout
-empty.  All output is deterministic; divisor maps keep the ascending key
-order in which ``analyze`` returns them.
+where one is required, a flag past its budget, or determinants whose
+work passes the 10^12 units that ``run`` puts on the meter of
+``schur``) or a stdout closed by its reader, 2 usage error, 3 internal
+error (a broken invariant inside the library, reported as one line on
+stderr).  argparse raises every usage error.  A command returns its
+JSON payload and its text (``verify`` also its exit code), and ``run``
+writes one of them to stdout once, after the command succeeds, so an
+error leaves stdout empty.  All output is deterministic; divisor maps
+keep the ascending key order in which ``analyze`` returns them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .characters import (
 )
 from .checks import builtin_checks
 from .qpoly import QPoly, Verdict
-from .schur import _elimination_cost, _kronecker_cost, principal_specialization
+from . import schur
 from .shapes import Composition, Partition, SkewShape
 
 
@@ -81,15 +82,6 @@ def _at_most(name: str, value: int, power: int, command: str) -> None:
         raise ValueError(f"{name} {value} is above the limit of 10^{power} for {command}")
 
 
-def _determinant_budget(args, command: str) -> None:
-    """Refuse a Kronecker determinant whose estimated cost passes 10^12
-    units, about 2 s on CPython 3.11.  The row term comes first, so a tall
-    shape is refused before ``count_ssyt`` runs.  The estimate is not
-    printed: it has about twice as many digits as ``--vars``."""
-    if _elimination_cost(args.shape) > 10**12 or _kronecker_cost(args.shape, args.vars) > 10**12:
-        raise ValueError(f"the estimated determinant cost is above the limit of 10^12 units for {command}")
-
-
 def _display_budget(partitions, d: int, r: int, command: str) -> None:
     """Refuse r-bead displays of more than 10^6 cells in all: each is d
     columns wide and has a row for every d positions up to its largest
@@ -125,11 +117,10 @@ def _bst_grid(tableau, shape: SkewShape) -> str:
 
 
 def _cmd_specialize(args):
-    _determinant_budget(args, "specialize")
     # the text and the JSON list every coefficient up to the fold
     terms = args.shape.size * (args.vars - 1) + 1
     _at_most("the coefficient count", min(terms, args.mod or terms), 6, "specialize")
-    poly = principal_specialization(args.shape, args.vars, mod=args.mod)
+    poly = schur.principal_specialization(args.shape, args.vars, mod=args.mod)
     payload = {
         "shape": str(args.shape),
         "vars": args.vars,
@@ -145,9 +136,6 @@ def _cmd_analyze(args):
     _at_most("--mod", args.mod, 12, "analyze")
     # the shift pads that many zero coefficients before the fold
     _at_most("--shift", args.shift or 0, 6, "analyze")
-    # with --mod dividing --vars, analyze reads root values, not a determinant
-    if args.shift is not None or args.vars % args.mod:
-        _determinant_budget(args, "analyze")
     payload = {"shape": str(args.shape), "vars": args.vars}
     if args.shift is not None:
         payload["shift"] = args.shift
@@ -324,14 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
+    # every determinant charges its work before it runs; 10^12 units is about 2 s
+    schur._work_left = 10**12
     try:
         payload, text, *code = args.func(args)
     except ValueError as exc:
+        if schur._work_left < 0:
+            exc = f"the estimated determinant cost is above the limit of 10^12 units for {args.command}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        schur._work_left = None
     print(json.dumps(payload) if args.json else text)
     return code[0] if code else 0
 

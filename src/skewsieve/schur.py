@@ -13,6 +13,9 @@ base-2^(8w) digits (Kronecker substitution).  It is the product over
 the diagonal blocks, one per run of rows that share columns, each by
 fraction-free (Bareiss) elimination in O(l^3) operations.  The fold mod
 q^m - 1 is taken last, on that integer, as its remainder mod 2^(8wm) - 1.
+While the CLI runs a command, every determinant charges its work to one
+meter, ``_work_left``, before doing it, from sizes it already holds;
+``_charge`` refuses the work once the meter runs out.
 """
 
 from __future__ import annotations
@@ -32,9 +35,36 @@ def jt_matrix(shape: SkewShape) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(a - b for b in bottoms) for a in tops)
 
 
+# The work a command may still do, in units of one bit-by-bit step of
+# CPython's schoolbook long division (about 2 ps on CPython 3.11, 2 CPUs).
+# The CLI sets it; None, as in library calls, charges nothing.
+_work_left: int | None = None
+
+
+def _charge(units: int) -> None:
+    """Take ``units`` of work about to run off the meter while it runs, and
+    refuse the work once the meter falls below 0."""
+    global _work_left
+    if _work_left is not None:
+        _work_left -= units
+        if _work_left < 0:
+            raise ValueError("the work meter ran out")
+
+
+def _charge_rows(n: int) -> None:
+    """Charge the interpreter's work of an n x n elimination, n^3 / 3
+    updates whatever their bits, before its matrix is built, so a block of
+    more than 292 rows is refused before any work on it.  The constant also
+    covers binomial entries far longer than the pivots the steps read."""
+    _charge(4 * 10**4 * n**3)
+
+
 def _integer_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact.  Overwrites ``rows``."""
+    elimination; every division is exact.  Overwrites ``rows``.  Step k
+    first charges its (n - 1 - k)^2 updates: two products of about 50 p^1.5
+    units each for the p-bit pivot, and a division leaving about 2p - q
+    bits by the q-bit previous pivot."""
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -45,6 +75,9 @@ def _integer_det(rows: list[list[int]]) -> int:
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pivot, top = rows[k][k], rows[k]
+        if _work_left is not None:
+            p, q = pivot.bit_length(), prev.bit_length()
+            _charge((n - 1 - k) ** 2 * (100 * p * isqrt(p) + max(2 * p - q, 0) * q))
         for row in rows[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, n):
@@ -64,6 +97,7 @@ def _jt_det(tops: Sequence[int], bottoms: Sequence[int], h: Callable[[int], int]
     for end in range(1, l + 1):
         if end == l or tops[end] < bottoms[end - 1]:
             columns = bottoms[start:end]
+            _charge_rows(end - start)
             det *= _integer_det([[h(a - b) if a >= b else 0 for b in columns] for a in tops[start:end]])
             if not det:
                 return 0
@@ -94,7 +128,20 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
         raise ValueError("modulus must be positive")
     count = count_ssyt(shape, k)
     w = _width(count)
-    det = _jt_det(*shape.beta_sets(), lambda e: _q_binomial_at(e, k, w))
+    b = 8 * w
+    # shifting, folding and unpacking, per bit of the determinant
+    _charge(1000 * b * (shape.size * (k - 1) + 1))
+
+    def h(e: int) -> int:
+        if _work_left is not None:
+            # s = min(e, k - 1) divisions, the i-th of about b*t*i bits
+            # (t = max(e, k - 1)) by b*i bits, plus about 300 units per bit
+            # of the dividend: the sum over i <= s of b*t*i * (b*i + 300)
+            s, t = min(e, k - 1), max(e, k - 1)
+            _charge(b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6)
+        return _q_binomial_at(e, k, w)
+
+    det = _jt_det(*shape.beta_sets(), h)
     if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
@@ -103,54 +150,6 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
             f"{count} for {shape}, k={k}; this indicates a bug in this library"
         )
     return QPoly(coeffs)
-
-
-def _elimination_cost(shape: SkewShape) -> int:
-    """The interpreter's share of ``_kronecker_cost``, known without
-    ``count_ssyt``: estimating and building the specialization of l rows
-    takes three l x l eliminations (the ``count_ssyt`` of the estimate,
-    then that of the route and the determinant), about l^3 updates in all
-    at 60 to 200 ns each whatever their bits.  One-cell shapes of 100 to
-    300 rows at k = 2 took 90 to 115 ns per l^3 (2 CPUs), so l^3 costs
-    5 * 10^4 units and the 10^12 limit falls near 270 rows."""
-    return 5 * 10**4 * shape.outer.length**3
-
-
-def _kronecker_cost(shape: SkewShape, k: int) -> int:
-    """Estimated cost of ``principal_specialization(shape, k)``, read off
-    ``count_ssyt`` before anything is built.  The unit is one bit-by-bit
-    step of CPython's schoolbook long division, about 2 ps on CPython 3.11
-    (2 CPUs), so 10^12 units is about 2 s; on measured runs of 1 to 20
-    rows that took over 0.1 s, the time was 0.5 to 1.8 times the bit
-    work below.  With b = 8w, and D the b(N(k - 1) + 1) bits of the
-    determinant of the N-cell shape:
-
-    - ``_elimination_cost`` adds the interpreter's work per Bareiss
-      update, whatever the bits, 5 * 10^4 units per l^3;
-    - the entry h_e takes s = min(e, k - 1) divisions, the i-th of about
-      b*t*i bits (t = max(e, k - 1)) by b*i bits, plus about 300 units per
-      bit of the dividend;
-    - Bareiss step j updates (l - 1 - j)^2 entries, each with two
-      Karatsuba products of n = (j + 1)D/l bits, about 50 n^1.5 units each,
-      and, past step 0, a division leaving (j + 2)D/l bits by a pivot of
-      jD/l bits;
-    - shifting, folding and unpacking take about 1000 units per bit of D.
-
-    The divisions make the cost quadratic in D and steep in l.  It is
-    computed in integers, so no k overflows it.
-    """
-    tops, bottoms = shape.beta_sets()
-    l, b = len(tops), 8 * _width(count_ssyt(shape, k))
-    det_bits = b * (shape.size * (k - 1) + 1)
-    cost = _elimination_cost(shape) + 1000 * det_bits
-    for e in (a - c for a in tops for c in bottoms if a > c):
-        s, t = min(e, k - 1), max(e, k - 1)
-        # the sum over i <= s of b*t*i * (b*i + 300)
-        cost += b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6
-    for j in range(l - 1):
-        n = (j + 1) * det_bits // l
-        cost += (l - 1 - j) ** 2 * (j * (j + 2) * (det_bits // l) ** 2 + 100 * n * isqrt(n))
-    return cost
 
 
 def _cell_plan(shape: SkewShape) -> list[tuple[tuple[int, int], int, int]]:

@@ -10,6 +10,7 @@ import pytest
 
 import skewsieve
 import skewsieve.checks as checks
+from skewsieve import schur
 from skewsieve.cli import build_parser, run
 from skewsieve.qpoly import divisors
 from skewsieve.schur import count_ssyt
@@ -554,38 +555,49 @@ def test_analyze_shift_is_bounded(capsys):
         ["analyze", "--shape", "4,3,2,1", "--vars", "3000", "--mod", "7", "--shift", "1"],
         ["specialize", "--shape", "3,2,1", "--vars", "100000"],
         ["specialize", "--shape", "40", "--vars", "200000", "--mod", "1000"],
-        ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300],
+        ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"],
+        ["analyze", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"],
     ],
     ids=lambda argv: " ".join(argv[:5])[:40],
 )
 def test_kronecker_determinant_is_bounded(capsys, argv):
     # each took about 10 s or more, or would never finish, when the determinant was built;
-    # its cost is now read off count_ssyt first
+    # the kernels charge their work before it runs, so each is refused before the bulk of it
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+def test_coefficient_count_comes_before_the_determinant(capsys):
+    # without --mod, |λ/μ|(k - 1) + 1 coefficients would be printed
+    code, out, err = invoke(capsys, ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300])
+    assert (code, out) == (1, "")
+    assert err == f"error: the coefficient count {5 * 10**300 - 4} is above the limit of 10^6 for specialize\n"
 
 
 def one_cell_on_rows(rows):
     return ",".join(["1"] * rows) + "/" + ",".join(["1"] * (rows - 1))
 
 
+def one_column(rows):
+    return ",".join(["1"] * rows)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["specialize", "--shape", one_cell_on_rows(400), "--vars", "2"],
-        ["analyze", "--shape", one_cell_on_rows(400), "--vars", "3", "--mod", "2"],
-        ["specialize", "--shape", ",".join(["1"] * 600), "--vars", "2"],
+        ["specialize", "--shape", one_column(600), "--vars", "2"],
+        ["char", "--shape", one_column(400), "--type", "1"],
+        ["bst", "--shape", one_column(400), "--order", "1"],
+        ["eval-root", "--shape", one_column(800), "--vars", "2", "--order", "1"],
     ],
-    ids=["specialize 400 rows", "analyze 400 rows", "specialize 600 rows"],
+    ids=["specialize 600 rows", "char 400 rows", "bst 400 rows", "eval-root 800 rows"],
 )
 def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
-    # the first two took 8.5 s and 15 s for one cell while the route eliminated one
-    # l x l matrix; it now splits them into 1 x 1 blocks and answers in milliseconds,
-    # but the row term still counts all l rows and refuses them; the third was refused
-    # only after its 5.6 s filling count, which the row term now comes before
+    # the rows are charged before the block is built, so each is refused before any
+    # work on it; the last three, on quotient routes, ran 14.3 s, 14.3 s and 12.6 s
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 1.0
@@ -593,9 +605,28 @@ def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
     assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
 
 
+def test_root_values_are_bounded(capsys):
+    # two 200-row counts at d = 2, then one of 400 rows at d = 1: 18.3 s with no budget;
+    # the meter refuses at the second 200-row block, after about 1 s of work
+    argv = ["analyze", "--shape", one_column(400), "--vars", "400", "--mod", "2"]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - start < 2.5
+    assert (code, out) == (1, "")
+    assert err == "error: the estimated determinant cost is above the limit of 10^12 units for analyze\n"
+
+
 def test_tall_determinant_below_the_row_limit_answers(capsys):
+    # one cell on l rows splits into l 1 x 1 blocks, each charged on its own;
+    # the 400-row ones were refused while the estimate charged all l rows at once
+    start = time.perf_counter()
     argv = ["specialize", "--shape", one_cell_on_rows(200), "--vars", "2"]
     assert invoke(capsys, argv) == (0, "1 + q\n", "")
+    argv = ["specialize", "--shape", one_cell_on_rows(400), "--vars", "2"]
+    assert invoke(capsys, argv) == (0, "1 + q\n", "")
+    argv = ["analyze", "--shape", one_cell_on_rows(400), "--vars", "3", "--mod", "2"]
+    assert invoke(capsys, argv) == (0, "verdict: csp\na_1 = 1\na_2 = 1\ncsp guaranteed: no\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
@@ -708,6 +739,68 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, out, err = invoke(capsys, ["specialize", "--shape", "2,1", "--vars", "3"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: the digits") and err.count("\n") == 1
+
+
+def test_the_meter_runs_only_inside_a_command(capsys, monkeypatch):
+    import skewsieve.cli as cli
+    assert invoke(capsys, ["specialize", "--shape", "2,1", "--vars", "2"])[0] == 0
+    assert schur._work_left is None
+    assert invoke(capsys, ["char", "--shape", one_column(400), "--type", "1"])[0] == 1
+    assert schur._work_left is None
+
+    def broken_guarantee(*args, **kwargs):
+        raise RuntimeError("guaranteed case came out pre-csp")
+
+    monkeypatch.setattr(cli, "analyze", broken_guarantee)
+    assert invoke(capsys, ["analyze", "--shape", "2,2", "--vars", "2", "--mod", "2"])[0] == 3
+    assert schur._work_left is None
+
+
+def test_library_calls_are_not_capped():
+    # the CLI refuses this at once (4 * 10^4 * 300^3 units for its one block); the
+    # library answers it, about 0.5 s
+    assert schur._work_left is None
+    assert count_ssyt(SkewShape.parse(one_column(300)), 2) == 0
+    schur._charge(10**30)
+    assert schur._work_left is None
+
+
+def test_specialize_counts_the_fillings_once(capsys, monkeypatch):
+    calls, count = [], schur.count_ssyt
+
+    def counting(shape, k):
+        calls.append(k)
+        return count(shape, k)
+
+    monkeypatch.setattr(schur, "count_ssyt", counting)
+    assert invoke(capsys, ["specialize", "--shape", "3,2/1", "--vars", "4"])[0] == 0
+    assert calls == [4]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["specialize", "--shape", "3,2/1", "--vars", "3"],
+        ["analyze", "--shape", "3,2/1", "--vars", "3", "--mod", "2"],
+        ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2"],
+        ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2", "--shift", "1"],
+        ["eval-root", "--shape", "3,3", "--vars", "4", "--order", "2"],
+        ["char", "--shape", "3,3", "--type", "2"],
+        ["bst", "--shape", "3,3", "--order", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_determinant_route_is_metered(capsys, monkeypatch, argv):
+    # a route that builds a determinant without charging it would escape the limit
+    charges, charge = [], schur._charge
+
+    def counting(units):
+        charges.append(units)
+        charge(units)
+
+    monkeypatch.setattr(schur, "_charge", counting)
+    assert invoke(capsys, argv)[0] == 0
+    assert charges
 
 
 # Every module outside skewsieve that importing skewsieve.cli adds to a bare

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from math import comb
 
@@ -23,7 +24,6 @@ from skewsieve.characters import eval_at_root
 from skewsieve.schur import (
     _fillings,
     _jt_det,
-    _kronecker_cost,
     count_ssyt,
     jt_matrix,
     principal_specialization,
@@ -231,17 +231,24 @@ def test_modulus_beyond_the_degree_is_not_built():
     assert peak < 1 << 20
 
 
-def test_kronecker_cost_separates_fast_from_slow_determinants():
-    # measured on CPython 3.11: the first three take 0.6 s or less, the rest about 10 s or more;
-    # the CLI refuses a cost above 10**12, about 2 s
+def test_kronecker_cost_separates_fast_from_slow_determinants(monkeypatch):
+    # measured on CPython 3.11: the first three take 0.8 s or less, the rest about 10 s or more;
+    # the CLI's meter allows 10**12 units, about 2 s, so the first answer and the rest are refused
     fast = [
         ("54,50,46,40,37,34,30,25,22,18,14/40,36,32,28,24,20,16,12,8,4", 6),
         ("180,180,120,60/60,60,60", 8),
         ("1", 20000),
     ]
     slow = [("5", 3 * 10**6), ("3,2", 10**5), ("3,2,1", 10**4), ("4,3,2,1", 3000), ("40", 2 * 10**5)]
-    assert all(_kronecker_cost(SkewShape.parse(s), k) < 10**12 for s, k in fast)
-    assert all(_kronecker_cost(SkewShape.parse(s), k) > 10**12 for s, k in slow)
+    for s, k in fast:
+        monkeypatch.setattr(schur, "_work_left", 10**12)
+        principal_specialization(SkewShape.parse(s), k)
+    for s, k in slow:
+        monkeypatch.setattr(schur, "_work_left", 10**12)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the work meter ran out"):
+            principal_specialization(SkewShape.parse(s), k)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_specialization_degree_and_positivity():
