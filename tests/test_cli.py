@@ -588,16 +588,27 @@ def one_column(rows):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["specialize", "--shape", one_column(400), "--vars", "2"],
+        ["analyze", "--shape", one_column(400), "--vars", "3", "--mod", "2"],
         ["specialize", "--shape", one_column(600), "--vars", "2"],
         ["char", "--shape", one_column(400), "--type", "1"],
         ["bst", "--shape", one_column(400), "--order", "1"],
         ["eval-root", "--shape", one_column(800), "--vars", "2", "--order", "1"],
     ],
-    ids=["specialize 600 rows", "char 400 rows", "bst 400 rows", "eval-root 800 rows"],
+    ids=[
+        "specialize 400 rows",
+        "analyze 400 rows",
+        "specialize 600 rows",
+        "char 400 rows",
+        "bst 400 rows",
+        "eval-root 800 rows",
+    ],
 )
 def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
     # the rows are charged before the block is built, so each is refused before any
-    # work on it; the last three, on quotient routes, ran 14.3 s, 14.3 s and 12.6 s
+    # work on it; the last three, on quotient routes, ran 14.3 s, 14.3 s and 12.6 s.
+    # A single column is one block of all its rows; one cell on as many rows is not
+    # (see test_tall_determinant_below_the_row_limit_answers)
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 1.0
