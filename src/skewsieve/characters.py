@@ -5,8 +5,10 @@ bead slides taking the outer display down to the inner one, with strips
 numbered in descending order of removal.  Character values never need the
 tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
-times Aitken determinants for their standard fillings, whose component
-factorials cancel into one ratio of factorials) and the sign from the
+times Aitken determinants for their standard fillings, taken by the
+shared builder ``schur._jt_det`` one diagonal block at a time, whose
+component factorials cancel into one ratio of factorials, charged to the
+work meter before any factorial is taken) and the sign from the
 residue-class matching permutation.  Both, and the root-of-unity
 values, are read from the one pairing pass ``abacus._runners``: the bead
 rows of each occupied runner are the components' beta-sets, so no
@@ -23,11 +25,13 @@ each strip's cells are read off its bead slide, not off rebuilt shapes.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, _runners
-from .schur import _charge_rows, _integer_det, _jt_count
+# the work meter, ``schur._work_left``, is set per command, so it is read
+# through the module
+from . import schur
 from .shapes import Composition, SkewShape
 
 
@@ -121,13 +125,48 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     components, matching = _runners(shape, d)
     if components is None:
         return SkewCharValue(0, 0)
-    count, tops, bottoms = factorial(shape.size // d), 1, 1
+    n = shape.size // d
+    if schur._work_left is not None:
+        schur._charge(_ledger_cost(shape, d, n))
+    count, tops, bottoms = factorial(n), 1, 1
     for a, b in components.values():
-        _charge_rows(len(a))
-        count *= _integer_det([[comb(x, y) for y in b] for x in a])
+        count *= schur._jt_det(a, b, comb)
         tops *= prod(map(factorial, a))
         bottoms *= prod(map(factorial, b))
     return SkewCharValue(count * bottoms // tops, permutation_sign(matching))
+
+
+def _ledger_cost(shape: SkewShape, d: int, n: int) -> int:
+    """The work of the factorial ledger of ``skew_char_rect`` on the type
+    (d^n), from bead sizes alone, before any factorial is taken.  The l
+    outer bead rows sum to at most (|outer| + l(l - 1)/2) / d, the largest
+    being (outer_1 + l - 1) / d, and likewise inside; n! joins the inner
+    ones.  The quotient is a tableau count below l^n (each strip slides
+    one of the l beads), so the division costs its bits times the
+    divisor's, the outer factorials'."""
+    outer, inner, l = shape.outer, shape.inner, shape.outer.length
+    staircase = l * (l - 1) // 2
+    top = max(outer.part(0) + l - 1, 0) // d
+    divisor = top.bit_length() * ((outer.size + staircase) // d)
+    return (
+        _factorials_cost((outer.size + staircase) // d, top, l)
+        + _factorials_cost((inner.size + staircase) // d + n, max((inner.part(0) + l - 1) // d, n), l + 1)
+        + n * l.bit_length() * divisor
+    )
+
+
+def _factorials_cost(total: int, largest: int, count: int) -> int:
+    """The work of taking ``count`` factorials x! of numbers x summing to
+    ``total``, the largest ``largest``, and multiplying them.  Each x! has
+    about x log2 x bits, at most t = x L with L the bits of the largest,
+    and takes about 50 t^1.5 units, like a t-bit product.  Joining factors
+    of t_i bits costs the schoolbook sum of t_i t_j over pairs or, past
+    Karatsuba's cut-off, at most 50 sqrt(t_i) per bit of the running
+    product, whichever bound is smaller."""
+    size = largest.bit_length()
+    bits, top = size * total, size * largest
+    products = min((bits * bits - top * top) // 2, 50 * bits * isqrt(count * bits))
+    return 50 * bits * isqrt(top) + products
 
 
 def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
@@ -211,7 +250,7 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
         raise RuntimeError("a quotient exists but d does not divide the size")
     product = 1
     for a, b in components.values():
-        product *= _jt_count(a, b, n_vars // d)
+        product *= schur._jt_count(a, b, n_vars // d)
     return permutation_sign(matching) * product
 
 

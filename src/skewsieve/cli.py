@@ -1,14 +1,15 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required, a flag past its budget, or determinants whose
-work passes the 10^12 units that ``run`` puts on the meter of
-``schur``) or a stdout closed by its reader, 2 usage error, 3 internal
-error (a broken invariant inside the library, reported as one line on
-stderr).  argparse raises every usage error.  A command returns its
-JSON payload and its text (``verify`` also its exit code), and ``run``
-writes one of them to stdout once, after the command succeeds, so an
-error leaves stdout empty.  All output is deterministic; divisor maps
+where one is required, a flag past its budget, determinants whose work
+passes the 10^12 units that ``run`` puts on the meter of ``schur``, or
+an answer of more than ``_DIGITS`` digits) or a stdout closed by its
+reader, 2 usage error, 3 internal error (a broken invariant inside the
+library, reported as one line on stderr).  argparse raises every usage
+error.  A command returns its JSON payload and its text (``verify`` also
+its exit code), and ``run`` writes one of them to stdout once, after the
+command succeeds, so an error leaves stdout empty.  All output is
+deterministic, whatever PYTHONINTMAXSTRDIGITS is set to; divisor maps
 keep the ascending key order in which ``analyze`` returns them.
 """
 
@@ -71,6 +72,24 @@ def _parsed(cls):
     return convert
 
 
+# The most digits a printed integer may have.  While ``run`` parses and
+# prints, the interpreter's own cap on int-str conversion, which
+# PYTHONINTMAXSTRDIGITS may set, is held at the same value (CPython's
+# default; versions before 3.10.7 have no cap).
+_DIGITS = 4300
+_get_cap = getattr(sys, "get_int_max_str_digits", int)
+_set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
+def _printable(values, command: str) -> None:
+    """Refuse integers of more than ``_DIGITS`` digits before any is
+    converted: below 3 * _DIGITS bits every integer is less than
+    10^_DIGITS, so only a longer one is compared with it."""
+    largest = max(map(abs, values), default=0)
+    if largest.bit_length() > 3 * _DIGITS and largest >= 10**_DIGITS:
+        raise ValueError(f"an answer is above the limit of {_DIGITS} digits for {command}")
+
+
 def _poly_json(poly: QPoly) -> dict[str, int]:
     return {str(e): c for e, c in enumerate(poly.coeffs) if c != 0}
 
@@ -79,7 +98,8 @@ def _at_most(name: str, value: int, power: int, command: str) -> None:
     """Reject a flag value, or a size read off the flags, past its budget
     before any work is done."""
     if value > 10**power:
-        raise ValueError(f"{name} {value} is above the limit of 10^{power} for {command}")
+        shown = value if value.bit_length() <= 3 * _DIGITS else f"of {value.bit_length()} bits"
+        raise ValueError(f"{name} {shown} is above the limit of 10^{power} for {command}")
 
 
 def _display_budget(partitions, d: int, r: int, command: str) -> None:
@@ -95,6 +115,7 @@ def _decomposition(dec) -> tuple[dict, list[str]]:
     verdict, a = dec.verdict.value, None
     lines = [f"verdict: {verdict}"]
     if dec.coefficients is not None:
+        _printable(dec.coefficients.values(), "analyze")
         a = {str(d): c for d, c in dec.coefficients.items()}
         lines += [f"a_{d} = {c}" for d, c in a.items()]
     return {"m": dec.m, "verdict": verdict, "a": a}, lines
@@ -121,6 +142,7 @@ def _cmd_specialize(args):
     terms = args.shape.size * (args.vars - 1) + 1
     _at_most("the coefficient count", min(terms, args.mod or terms), 6, "specialize")
     poly = schur.principal_specialization(args.shape, args.vars, mod=args.mod)
+    _printable(poly.coeffs, "specialize")
     payload = {
         "shape": str(args.shape),
         "vars": args.vars,
@@ -192,6 +214,7 @@ def _cmd_bst(args):
         value = SkewCharValue(0, 0)
     else:
         value = skew_char_rect(args.shape, args.order)
+    _printable((value.bst_count,), "bst")
     payload = {
         "count": value.bst_count,
         "epsilon": value.epsilon,
@@ -214,14 +237,17 @@ def _cmd_bst(args):
 def _cmd_char(args):
     if args.nu is not None:
         value = skew_char(args.shape, args.nu)
+        _printable((value,), "char")
         return {"value": value}, str(value)
     char = skew_char_rect(args.shape, args.type)
+    _printable((char.bst_count,), "char")
     payload = {"value": char.value, "bst_count": char.bst_count, "epsilon": char.epsilon}
     return payload, "\n".join(f"{key}: {value}" for key, value in payload.items())
 
 
 def _cmd_eval_root(args):
     value = eval_at_root(args.shape, args.vars, args.order)
+    _printable((value,), "eval-root")
     return {"value": value}, str(value)
 
 
@@ -311,11 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    cap = _get_cap()
+    _set_cap(_DIGITS)
     # every determinant charges its work before it runs; 10^12 units is about 2 s
     schur._work_left = 10**12
     try:
+        args = build_parser().parse_args(argv)
         payload, text, *code = args.func(args)
+        print(json.dumps(payload) if args.json else text)
     except ValueError as exc:
         if schur._work_left < 0:
             exc = f"the estimated determinant cost is above the limit of 10^12 units for {args.command}"
@@ -326,7 +355,7 @@ def run(argv: list[str]) -> int:
         return 3
     finally:
         schur._work_left = None
-    print(json.dumps(payload) if args.json else text)
+        _set_cap(cap)
     return code[0] if code else 0
 
 

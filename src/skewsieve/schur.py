@@ -2,17 +2,21 @@
 
 The primary route is the Jacobi-Trudi determinant det[h_(a_i - b_j)]
 over the outer and inner beta-sets a and b at the outer length
-(a_i - b_j = outer_i - inner_j + j - i).  One builder serves the
-polynomial, where h is a q-binomial, and the filling counts of
-``count_ssyt`` and ``characters.eval_at_root``.  The brute-force route
-steps through every semistandard filling in lexicographic order and is
-kept as an independent check.  Both the polynomial and the filling count
-come from one integer determinant: at q = 1 for the count, and at
-q = 2^(8w) for the polynomial, whose coefficients are then read off as
-base-2^(8w) digits (Kronecker substitution).  It is the product over
-the diagonal blocks, one per run of rows that share columns, each by
-fraction-free (Bareiss) elimination in O(l^3) operations.  The fold mod
-q^m - 1 is taken last, on that integer, as its remainder mod 2^(8wm) - 1.
+(a_i - b_j = outer_i - inner_j + j - i).  One builder, ``_jt_det``,
+takes any entry(a_i, b_j) that is 0 for a_i < b_j: it serves the
+polynomial, where h is a q-binomial, the filling counts of
+``count_ssyt`` and ``characters.eval_at_root``, and Aitken's
+determinants det[C(a_i, b_j)] of ``characters.skew_char_rect``.  The
+brute-force route steps through every semistandard filling in
+lexicographic order and is kept as an independent check.  Both the
+polynomial and the filling count come from one integer determinant: at
+q = 1 for the count, and at q = 2^(8w) for the polynomial, whose
+coefficients are then read off as base-2^(8w) digits (Kronecker
+substitution).  It is the product over the diagonal blocks, one per run
+of rows that share columns, each by fraction-free (Bareiss) elimination
+in O(l^3) operations, or read off its one entry when it has one row.
+The fold mod q^m - 1 is taken last, on that integer, as its remainder
+mod 2^(8wm) - 1.
 While the CLI runs a command, every determinant charges its work to one
 meter, ``_work_left``, before doing it, from sizes it already holds;
 ``_charge`` refuses the work once the meter runs out.
@@ -51,14 +55,6 @@ def _charge(units: int) -> None:
             raise ValueError("the work meter ran out")
 
 
-def _charge_rows(n: int) -> None:
-    """Charge the interpreter's work of an n x n elimination, n^3 / 3
-    updates whatever their bits, before its matrix is built, so a block of
-    more than 292 rows is refused before any work on it.  The constant also
-    covers binomial entries far longer than the pivots the steps read."""
-    _charge(4 * 10**4 * n**3)
-
-
 def _integer_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact.  Overwrites ``rows``.  Step k
@@ -86,19 +82,36 @@ def _integer_det(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1] if n else 1
 
 
-def _jt_det(tops: Sequence[int], bottoms: Sequence[int], h: Callable[[int], int]) -> int:
-    """det[h(a_i - b_j)] over the outer and inner beta-sets ``tops`` and
-    ``bottoms`` of one length, with h taken as 0 below 0: the Jacobi-Trudi
-    determinant with complete homogeneous values h.  Where a_(i+1) < b_i,
-    rows i and i + 1 share no column and every entry below row i left of
-    column i + 1 is 0, so the determinant is the product of the diagonal
-    blocks' and no entry off them is built."""
+def _jt_det(
+    tops: Sequence[int],
+    bottoms: Sequence[int],
+    entry: Callable[[int, int], int],
+    bits: Callable[[int, int], int] | None = None,
+) -> int:
+    """det[entry(a_i, b_j)] over the outer and inner beta-sets ``tops`` and
+    ``bottoms`` of one length, 0 where a_i < b_j: Jacobi-Trudi's for entries
+    h(a - b), Aitken's for C(a, b).  Where a_(i+1) < b_i, rows i and i + 1
+    share no column and every entry below row i left of column i + 1 is 0,
+    so the determinant is the product of the diagonal blocks', no entry off
+    them is built, and a one-row block is its own entry.  An n-row block is
+    first charged 4 * 10^4 n^3 units, n^3 / 3 updates of any bits (binomial
+    entries far longer than the pivots included), so 293 rows are refused.
+    Given ``bits(a, b)``, an entry's length known before it is built, a
+    block of two rows or more is also charged the first update each entry
+    joins, two products of about 50 p^1.5 units for p bits."""
     det, start, l = 1, 0, len(tops)
     for end in range(1, l + 1):
         if end == l or tops[end] < bottoms[end - 1]:
-            columns = bottoms[start:end]
-            _charge_rows(end - start)
-            det *= _integer_det([[h(a - b) if a >= b else 0 for b in columns] for a in tops[start:end]])
+            if _work_left is not None:
+                _charge(4 * 10**4 * (end - start) ** 3)
+            if end == start + 1:
+                det *= entry(tops[start], bottoms[start])
+            else:
+                columns = bottoms[start:end]
+                if bits is not None and _work_left is not None:
+                    sizes = [bits(a, b) for a in tops[start:end] for b in columns if a >= b]
+                    _charge(sum(100 * p * isqrt(p) for p in sizes))
+                det *= _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in tops[start:end]])
             if not det:
                 return 0
             start = end
@@ -132,7 +145,8 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     # shifting, folding and unpacking, per bit of the determinant
     _charge(1000 * b * (shape.size * (k - 1) + 1))
 
-    def h(e: int) -> int:
+    def entry(top: int, bottom: int) -> int:
+        e = top - bottom
         if _work_left is not None:
             # s = min(e, k - 1) divisions, the i-th of about b*t*i bits
             # (t = max(e, k - 1)) by b*i bits, plus about 300 units per bit
@@ -141,7 +155,11 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
             _charge(b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6)
         return _q_binomial_at(e, k, w)
 
-    det = _jt_det(*shape.beta_sets(), h)
+    def bits(top: int, bottom: int) -> int:
+        e = top - bottom
+        return b * min(e, k - 1) * max(e, k - 1)
+
+    det = _jt_det(*shape.beta_sets(), entry, bits)
     if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
@@ -211,8 +229,8 @@ def ssyt_generating_function(shape: SkewShape, k: int) -> QPoly:
 def _jt_count(tops: Sequence[int], bottoms: Sequence[int], k: int) -> int:
     """count_ssyt of the skew shape whose outer and inner beta-sets, of one
     length, are ``tops`` and ``bottoms``: at q = 1 the entry h_e is the
-    multiset count C(e + k - 1, k - 1)."""
-    return _jt_det(tops, bottoms, lambda e: comb(e + k - 1, k - 1))
+    multiset count C(e + k - 1, k - 1) with e = a - b."""
+    return _jt_det(tops, bottoms, lambda a, b: comb(a - b + k - 1, k - 1))
 
 
 def count_ssyt(shape: SkewShape, k: int) -> int:

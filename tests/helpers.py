@@ -8,15 +8,16 @@ divisor basis, q -> q^s, the q-binomial fold identity and its
 coefficients, and the dense Mobius-inversion decomposition) build on
 ``QPoly`` only; the trial-division divisors and the pairwise divisor-sum
 inversion are the references for the factorisation routes in ``qpoly``,
-the whole-matrix Jacobi-Trudi determinant is the reference for the
-block split in ``schur``, and the pairing read off two runner
-dictionaries is the reference for the one-loop pass ``abacus._runners``.
+the whole-matrix determinant is the reference for the block split in
+``schur``, and with it the whole Aitken matrices for the rectangular
+characters, and the pairing read off two runner dictionaries is the
+reference for the one-loop pass ``abacus._runners``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import comb, factorial, gcd, prod
 from typing import Iterable
 
 from skewsieve.qpoly import (
@@ -428,11 +429,28 @@ def invert_divisor_sums_pairwise(divs: list[int], value: dict[int, int]) -> dict
     return known
 
 
-def jt_det_whole(tops, bottoms, h) -> int:
-    """Reference for ``schur._jt_det``: det[h(a_i - b_j)], h taken as 0
-    below 0, as one l x l matrix through ``_integer_det``, not split into
-    diagonal blocks."""
-    return _integer_det([[h(a - b) if a >= b else 0 for b in bottoms] for a in tops])
+def jt_det_whole(tops, bottoms, entry) -> int:
+    """Reference for ``schur._jt_det``: det[entry(a_i, b_j)], taken as 0
+    where a_i < b_j, as one l x l matrix through ``_integer_det``, not
+    split into diagonal blocks."""
+    return _integer_det([[entry(a, b) if a >= b else 0 for b in bottoms] for a in tops])
+
+
+def skew_char_rect_whole(shape: SkewShape, d: int) -> tuple[int, int]:
+    """Reference for ``characters.skew_char_rect``: (count, sign) as the
+    multinomial of the d-quotient component sizes times each component's
+    standard count n_c! det[C(a_i, b_j)] prod b_j! / prod a_i!, Aitken's
+    matrix taken whole by ``jt_det_whole``, with the components paired by
+    ``runners_by_two_displays`` and the sign an ``inversion_sign``."""
+    components, matching = runners_by_two_displays(shape, d)
+    if components is None:
+        return 0, 0
+    count = factorial(shape.size // d)
+    for a, b in components.values():
+        n = sum(a) - sum(b)
+        standard = factorial(n) * jt_det_whole(a, b, comb) * prod(map(factorial, b)) // prod(map(factorial, a))
+        count = count // factorial(n) * standard
+    return count, inversion_sign(matching)
 
 
 def runners_by_two_displays(shape: SkewShape, d: int):

@@ -33,6 +33,7 @@ from helpers import (
     partitions_in_box,
     partitions_of,
     partitions_up_to,
+    skew_char_rect_whole,
     subpartitions,
 )
 
@@ -310,6 +311,40 @@ def test_skew_char_rect_matches_the_walk_beyond_the_grid(case):
     value = skew_char_rect(shape, d)
     sign = (walk > 0) - (walk < 0)
     assert (value.value, value.bst_count, value.epsilon) == (walk, abs(walk), sign)
+
+
+# the empty shape first
+SMALL_SKEW = [(lam, mu) for lam in partitions_up_to(5) for mu in subpartitions(lam)]
+
+
+@st.composite
+def split_quotient_cases(draw):
+    """(λ/μ, d) whose d-quotient has a component that splits into row
+    blocks.  Each runner t < d carries the bead rows of a small skew shape
+    (or none); runner 0 carries two, the upper one's rows raised above the
+    lower one's, so no row of the one shares a column with a row of the
+    other.  Bead row r on runner t is position d r + t."""
+    d = draw(st.integers(1, 4))
+
+    def rows(lam, mu):
+        l = len(lam)
+        return [p + l - 1 - i for i, p in enumerate(lam)], [p + l - 1 - i for i, p in enumerate(mu + (0,) * (l - len(mu)))]
+
+    lower, upper = (rows(*draw(st.sampled_from(SMALL_SKEW[1:]))) for _ in range(2))
+    lift = max(lower[0], default=0) + 1 + draw(st.integers(0, 2))
+    runners = [([a + lift for a in upper[0]] + lower[0], [b + lift for b in upper[1]] + lower[1])]
+    runners += [rows(*draw(st.sampled_from(SMALL_SKEW))) for _ in range(d - 1)]
+    outer = [d * a + t for t, (tops, _) in enumerate(runners) for a in tops]
+    inner = [d * b + t for t, (_, bottoms) in enumerate(runners) for b in bottoms]
+    return SkewShape(partition_from_beta(outer), partition_from_beta(inner)), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_quotient_cases())
+def test_skew_char_rect_matches_whole_aitken_matrices(case):
+    # the block split of Aitken's matrices against the whole matrices
+    shape, d = case
+    assert skew_char_rect(shape, d) == skew_char_rect_whole(shape, d)
 
 
 def test_standard_counts_match_corner_removal():

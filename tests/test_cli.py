@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -562,10 +563,12 @@ def test_analyze_shift_is_bounded(capsys):
 )
 def test_kronecker_determinant_is_bounded(capsys, argv):
     # each took about 10 s or more, or would never finish, when the determinant was built;
-    # the kernels charge their work before it runs, so each is refused before the bulk of it
+    # the kernels charge their work before it runs, so each is refused before the bulk of it.
+    # Building the six entries of 3,2,1 at k = 10^5 alone takes about 0.5 s, so each entry of
+    # a block is charged its first elimination update before any is built
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < (0.1 if argv[2] == "3,2,1" and argv[4] == "100000" else 1.0)
     assert (code, out) == (1, "")
     assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
 
@@ -575,6 +578,15 @@ def test_coefficient_count_comes_before_the_determinant(capsys):
     code, out, err = invoke(capsys, ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300])
     assert (code, out) == (1, "")
     assert err == f"error: the coefficient count {5 * 10**300 - 4} is above the limit of 10^6 for specialize\n"
+
+
+def test_a_limit_names_the_bits_of_a_size_past_the_digit_limit(capsys):
+    # 4300-digit flags are read, but their product has twice as many digits
+    big = "1" + "0" * 4299
+    code, out, err = invoke(capsys, ["specialize", "--shape", big, "--vars", big])
+    terms = 10**4299 * (10**4299 - 1) + 1
+    assert (code, out) == (1, "")
+    assert err == f"error: the coefficient count of {terms.bit_length()} bits is above the limit of 10^6 for specialize\n"
 
 
 def one_cell_on_rows(rows):
@@ -625,6 +637,96 @@ def test_root_values_are_bounded(capsys):
     assert time.perf_counter() - start < 2.5
     assert (code, out) == (1, "")
     assert err == "error: the estimated determinant cost is above the limit of 10^12 units for analyze\n"
+
+
+def in_a_child(argv, **env):
+    """``python -m skewsieve ARGV`` in a child process, killed if it runs past 10 s, so a
+    stalled route fails at once: (exit code, stdout, stderr, seconds)."""
+    src = str(Path(skewsieve.__file__).resolve().parent.parent)
+    environ = dict(os.environ, PYTHONPATH=src)
+    environ.pop("PYTHONINTMAXSTRDIGITS", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewsieve", *argv],
+        env=dict(environ, **env),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--shape", "1000000", "--type", "1"],
+        ["char", "--shape", "3000000", "--type", "1"],
+        ["bst", "--shape", "3000000", "--order", "1"],
+        ["char", "--shape", "3000000,3000000", "--type", "1"],
+        ["char", "--shape", one_cell_on_rows(2000), "--type", "1"],
+        ["bst", "--shape", one_cell_on_rows(2000), "--order", "1"],
+        ["specialize", "--shape", "3,2,1", "--vars", "100000"],
+    ],
+    ids=[
+        "char one row of 10^6",
+        "char one row of 3*10^6",
+        "bst one row of 3*10^6",
+        "char two rows of 3*10^6",
+        "char one cell on 2000 rows",
+        "bst one cell on 2000 rows",
+        "specialize 3,2,1 k=10^5",
+    ],
+)
+def test_metered_refusals_come_at_once(argv):
+    # the factorial ledger of a rectangular character, n! prod b! / prod a!, is charged from
+    # the bead rows before any factorial is taken.  Uncharged, the first case answers after
+    # about 15 s, the next two after about 90 s, and the next three run past 100 s (the
+    # 2000-row ones in the factorial products, once Aitken's matrix splits into 1 x 1 blocks).
+    # The last case's Kronecker entries are charged before they are built
+    code, out, err, seconds = in_a_child(argv)
+    assert seconds < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+@pytest.mark.parametrize("shape", ["0", one_cell_on_rows(300)], ids=["empty shape", "one cell on 300 rows"])
+def test_shapes_with_one_tableau_answer(shape):
+    # Aitken's matrix of one cell on 300 rows splits into 1 x 1 blocks, each read off
+    # its entry, and the factorials of its 300 bead rows are charged far below the limit;
+    # the empty shape has no bead rows to charge
+    assert in_a_child(["char", "--shape", shape, "--type", "1"])[:3] == (0, "value: 1\nbst_count: 1\nepsilon: 1\n", "")
+    assert in_a_child(["bst", "--shape", shape, "--order", "1"])[:3] == (0, "count: 1\nepsilon: 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--shape", "8000,8000", "--type", "1"],
+        ["char", "--shape", "8000,8000", "--type", "1", "--json"],
+        ["bst", "--shape", "8000,8000", "--order", "1"],
+        ["eval-root", "--shape", "27,27,18,9/18,9", "--vars", "1" + "0" * 100, "--order", "1"],
+        ["analyze", "--shape", "27,27,18,9/18,9", "--vars", "1" + "0" * 100, "--mod", "2"],
+    ],
+    ids=["char", "char --json", "bst", "eval-root", "analyze"],
+)
+def test_answers_past_the_digit_limit_are_refused(argv):
+    # the answer's bit length is checked before it is converted, so the interpreter's own
+    # cap, which PYTHONINTMAXSTRDIGITS sets, never shows through
+    for cap in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+        code, out, err, seconds = in_a_child(argv, **cap)
+        assert seconds < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: an answer is above the limit of 4300 digits for {argv[0]}\n"
+
+
+def test_answers_below_the_digit_limit_do_not_depend_on_the_environment():
+    # C(4000, 2000) / 2001 has 1200 digits, past the smallest cap the interpreter takes
+    argv = ["char", "--shape", "2000,2000", "--type", "1"]
+    answers = {in_a_child(argv, **cap)[:3] for cap in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"})}
+    assert len(answers) == 1
+    code, out, err = answers.pop()
+    assert (code, err) == (0, "")
+    assert out == f"value: {comb(4000, 2000) // 2001}\nbst_count: {comb(4000, 2000) // 2001}\nepsilon: 1\n"
 
 
 def test_tall_determinant_below_the_row_limit_answers(capsys):

@@ -20,7 +20,7 @@ from skewsieve.qpoly import (
 )
 from skewsieve.abacus import skew_quotient
 from skewsieve.analysis import analyze
-from skewsieve.characters import eval_at_root
+from skewsieve.characters import eval_at_root, skew_char_rect
 from skewsieve.schur import (
     _fillings,
     _jt_det,
@@ -180,11 +180,12 @@ def test_determinant_is_the_product_over_disconnected_row_blocks(shapes, k):
     shape, a, b = shapes
     tops, bottoms = shape.beta_sets()
     for n in range(1, 5):
-        count = lambda e: comb(e + n - 1, n - 1)
+        count = lambda x, y: comb(x - y + n - 1, n - 1)
         assert _jt_det(tops, bottoms, count) == jt_det_whole(tops, bottoms, count)
     w = _width(count_ssyt(shape, k))
-    value = lambda e: _q_binomial_at(e, k, w)
+    value = lambda x, y: _q_binomial_at(x - y, k, w)
     assert _jt_det(tops, bottoms, value) == jt_det_whole(tops, bottoms, value)
+    assert _jt_det(tops, bottoms, comb) == jt_det_whole(tops, bottoms, comb)
     assert principal_specialization(shape, k) == (
         principal_specialization(a, k) * principal_specialization(b, k)
     )
@@ -198,13 +199,20 @@ def test_only_the_diagonal_blocks_are_eliminated(monkeypatch):
         return eliminate(rows)
 
     monkeypatch.setattr(schur, "_integer_det", recording)
-    # a staircase of single cells meeting only at corners: five 1 x 1 blocks
+    # a staircase of single cells meeting only at corners: five 1 x 1 blocks,
+    # each read off its one entry
     assert count_ssyt(SkewShape.parse("5,4,3,2,1/4,3,2,1"), 3) == 3**5
-    assert sizes == [1] * 5
+    assert sizes == []
     # a det-rows band with w = 2: each row shares two columns with the next
-    sizes.clear()
     assert count_ssyt(SkewShape.parse("14,12,10,8,6,4/10,8,6,4,2"), 3) > 0
     assert sizes == [6]
+    # Aitken's matrices: the 2-quotient of 8,5,2/6,3 is the three single cells
+    # of 3,2,1/2,1, three 1 x 1 blocks; that of 5,4/3 is 2,2/1, one 2-row block
+    sizes.clear()
+    assert skew_char_rect(SkewShape.parse("8,5,2/6,3"), 2) == (6, 1)
+    assert sizes == []
+    assert skew_char_rect(SkewShape.parse("5,4/3"), 2) == (2, 1)
+    assert sizes == [2]
 
 
 def test_reduced_path_matches_full_reduction():
