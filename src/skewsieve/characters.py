@@ -7,25 +7,28 @@ tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
 times Aitken determinants for their standard fillings, taken by the
 shared builder ``schur._jt_det`` one diagonal block at a time, whose
-component factorials cancel into one ratio of factorials, charged to the
-work meter before any factorial is taken) and the sign from the
-residue-class matching permutation.  Both, and the root-of-unity
-values, are read from the one pairing pass ``abacus._runners``: the bead
-rows of each occupied runner are the components' beta-sets, so no
-component shape is built, and no empty runner is visited.  Only arbitrary
-types and the explicit tableau listing walk the reachable bead
-configurations, and those two walks are the independent oracles for the
-closed form.  Both are loops, so the number of strips is not bounded by
-the recursion limit: the arbitrary-type count is a forward pass holding
-one signed count per configuration for the current and the next strip,
-and the listing is a depth-first search over an explicit stack of plain
-states, each a configuration with the strips removed on the way there;
-each strip's cells are read off its bead slide, not off rebuilt shapes.
+component factorials cancel into one ratio of factorials, priced from
+the bead rows at the product price of ``schur`` before any factorial is
+taken) and the sign from the residue-class matching permutation.  Both,
+and the root-of-unity values, are read from the one pairing pass
+``abacus._runners``: the bead rows of each occupied runner are the
+components' beta-sets, so no component shape is built, and no empty
+runner is visited.  Only arbitrary types and the explicit tableau listing
+walk the reachable bead configurations, and those two walks are the
+independent oracles for the closed form.  Both are loops, so the number
+of strips is not bounded by the recursion limit: the arbitrary-type count
+is a forward pass holding one signed count per configuration for the
+current and the next strip, and the listing is a depth-first search over
+an explicit stack of plain states, each a configuration with the strips
+removed on the way there; each strip's cells are read off its bead slide,
+not off rebuilt shapes.  While the work meter runs, the count charges
+each strip's configurations times beads before it expands them, and the
+listing each state it pops, at one price per bead visited, ``_VISIT``.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .abacus import _legal_moves, _runners
@@ -33,6 +36,11 @@ from .abacus import _legal_moves, _runners
 # through the module
 from . import schur
 from .shapes import Composition, SkewShape
+
+
+# The price of one bead of one configuration visited by a walk: 1 to 2 us
+# on CPython 3.11 (staircases, 2 CPUs), so 10^12 units stay about 2 s.
+_VISIT = 10**6
 
 
 class BorderStripTableau(NamedTuple):
@@ -78,6 +86,8 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     stack = [(start, None, 0, (), ())]
     while stack:
         beta, p, height, strips, heights = stack.pop()
+        if schur._work_left is not None:
+            schur._charge(len(beta) * _VISIT)
         if p is not None:
             strips, heights = (_strip_cells(beta, p, d, height),) + strips, (height,) + heights
         if beta == target:
@@ -117,6 +127,15 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     n! prod_c det[C(a_i, b_j)] prod b_j! / prod a_i! over the beads of all
     components, one exact division at the end.  Polynomial in the number
     of rows, and no bead configuration is visited.
+
+    While the work meter runs, the ledger is charged from the bead rows
+    before any factorial is taken: x! has at most x bit_length(x) bits,
+    and each factorial, each join into the running products of the a! and
+    the b!, n!, the join of the two products and the final division are
+    priced as ``schur._product_cost`` products.  The quotient is a tableau
+    count below l^n (each strip slides one of the l beads), of at most
+    q = n bit_length(l) bits, so the dividend has at most q bits more than
+    the divisor, and the division costs q times the divisor's bits.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -127,46 +146,22 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
         return SkewCharValue(0, 0)
     n = shape.size // d
     if schur._work_left is not None:
-        schur._charge(_ledger_cost(shape, d, n))
+        units, bits = 0, [0, 0]
+        for rows in components.values():
+            for side, beads in enumerate(rows):
+                for x in beads:
+                    t = x * x.bit_length()
+                    units += schur._product_cost(t, t) + schur._product_cost(bits[side], t)
+                    bits[side] += t
+        divisor, below = bits
+        t, q = n * n.bit_length(), n * shape.outer.length.bit_length()
+        schur._charge(units + schur._product_cost(t, t) + schur._product_cost(q + divisor, below) + q * divisor)
     count, tops, bottoms = factorial(n), 1, 1
     for a, b in components.values():
         count *= schur._jt_det(a, b, comb)
         tops *= prod(map(factorial, a))
         bottoms *= prod(map(factorial, b))
     return SkewCharValue(count * bottoms // tops, permutation_sign(matching))
-
-
-def _ledger_cost(shape: SkewShape, d: int, n: int) -> int:
-    """The work of the factorial ledger of ``skew_char_rect`` on the type
-    (d^n), from bead sizes alone, before any factorial is taken.  The l
-    outer bead rows sum to at most (|outer| + l(l - 1)/2) / d, the largest
-    being (outer_1 + l - 1) / d, and likewise inside; n! joins the inner
-    ones.  The quotient is a tableau count below l^n (each strip slides
-    one of the l beads), so the division costs its bits times the
-    divisor's, the outer factorials'."""
-    outer, inner, l = shape.outer, shape.inner, shape.outer.length
-    staircase = l * (l - 1) // 2
-    top = max(outer.part(0) + l - 1, 0) // d
-    divisor = top.bit_length() * ((outer.size + staircase) // d)
-    return (
-        _factorials_cost((outer.size + staircase) // d, top, l)
-        + _factorials_cost((inner.size + staircase) // d + n, max((inner.part(0) + l - 1) // d, n), l + 1)
-        + n * l.bit_length() * divisor
-    )
-
-
-def _factorials_cost(total: int, largest: int, count: int) -> int:
-    """The work of taking ``count`` factorials x! of numbers x summing to
-    ``total``, the largest ``largest``, and multiplying them.  Each x! has
-    about x log2 x bits, at most t = x L with L the bits of the largest,
-    and takes about 50 t^1.5 units, like a t-bit product.  Joining factors
-    of t_i bits costs the schoolbook sum of t_i t_j over pairs or, past
-    Karatsuba's cut-off, at most 50 sqrt(t_i) per bit of the running
-    product, whichever bound is smaller."""
-    size = largest.bit_length()
-    bits, top = size * total, size * largest
-    products = min((bits * bits - top * top) // 2, 50 * bits * isqrt(count * bits))
-    return 50 * bits * isqrt(top) + products
 
 
 def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
@@ -184,6 +179,8 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     # signed tableau counts per bead configuration after each strip
     counts = {start: 1}
     for size in reversed(sizes):
+        if schur._work_left is not None:
+            schur._charge(len(counts) * len(start) * _VISIT)
         reached: dict[tuple[int, ...], int] = {}
         for beta, count in counts.items():
             for _, height, new in _legal_moves(beta, size, target):
@@ -237,7 +234,8 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
     Zero unless the d-quotient exists; otherwise the character sign times
     the product over components of their fillings with n_vars/d letters.
     That product is zero exactly when some component has a column longer
-    than n_vars/d.
+    than n_vars/d.  While the work meter runs, each component's count is
+    charged its product into the running one before it joins.
     """
     if n_vars < 1 or d < 1:
         raise ValueError("n_vars and d must be >= 1")
@@ -250,7 +248,10 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
         raise RuntimeError("a quotient exists but d does not divide the size")
     product = 1
     for a, b in components.values():
-        product *= schur._jt_count(a, b, n_vars // d)
+        count = schur._jt_count(a, b, n_vars // d)
+        if schur._work_left is not None:
+            schur._charge(schur._product_cost(product.bit_length(), count.bit_length()))
+        product *= count
     return permutation_sign(matching) * product
 
 

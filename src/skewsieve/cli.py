@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import islice
 
@@ -48,6 +49,8 @@ def _int_at_least(low: int, complaint: str):
         digits = text.strip().removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if len(digits) > _DIGITS:
+            raise argparse.ArgumentTypeError(_TOO_LONG)
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{complaint}: {text}")
@@ -61,9 +64,12 @@ _nonnegative_int = _int_at_least(0, "must be nonnegative")
 
 
 def _parsed(cls):
-    """An argparse type that reads ``cls.parse`` errors as usage errors."""
+    """An argparse type that reads ``cls.parse`` errors as usage errors,
+    refusing a run of more than ``_DIGITS`` digits before it is read."""
 
     def convert(text: str):
+        if max(map(len, re.findall("[0-9]+", text)), default=0) > _DIGITS:
+            raise argparse.ArgumentTypeError(_TOO_LONG)
         try:
             return cls.parse(text)
         except ValueError as exc:
@@ -72,13 +78,14 @@ def _parsed(cls):
     return convert
 
 
-# The most digits a printed integer may have.  While ``run`` parses and
-# prints, the interpreter's own cap on int-str conversion, which
-# PYTHONINTMAXSTRDIGITS may set, is held at the same value (CPython's
-# default; versions before 3.10.7 have no cap).
+# The most digits a parsed or printed integer may have.  While ``run``
+# parses and prints, the interpreter's own cap on int-str conversion,
+# which PYTHONINTMAXSTRDIGITS may set, is held at the same value
+# (CPython's default; versions before 3.10.7 have no cap).
 _DIGITS = 4300
 _get_cap = getattr(sys, "get_int_max_str_digits", int)
 _set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+_TOO_LONG = f"an integer is above the limit of {_DIGITS} digits"
 
 
 def _printable(values, command: str) -> None:

@@ -19,7 +19,10 @@ The fold mod q^m - 1 is taken last, on that integer, as its remainder
 mod 2^(8wm) - 1.
 While the CLI runs a command, every determinant charges its work to one
 meter, ``_work_left``, before doing it, from sizes it already holds;
-``_charge`` refuses the work once the meter runs out.
+``_charge`` refuses the work once the meter runs out.  Every product is
+priced by ``_product_cost``, 50 max(p, q) sqrt(min(p, q)) units for a
+p-bit by q-bit product, including each block's join into the running
+determinant.
 """
 
 from __future__ import annotations
@@ -55,12 +58,18 @@ def _charge(units: int) -> None:
             raise ValueError("the work meter ran out")
 
 
+def _product_cost(p: int, q: int) -> int:
+    """The price of a p-bit by q-bit product: 50 max(p, q) sqrt(min(p, q))
+    units, 50 p^1.5 for two factors of p bits."""
+    return 50 * max(p, q) * isqrt(min(p, q))
+
+
 def _integer_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination; every division is exact.  Overwrites ``rows``.  Step k
-    first charges its (n - 1 - k)^2 updates: two products of about 50 p^1.5
-    units each for the p-bit pivot, and a division leaving about 2p - q
-    bits by the q-bit previous pivot."""
+    first charges its (n - 1 - k)^2 updates: two products by the p-bit
+    pivot, and a division leaving about 2p - q bits by the q-bit previous
+    pivot."""
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -73,7 +82,7 @@ def _integer_det(rows: list[list[int]]) -> int:
         pivot, top = rows[k][k], rows[k]
         if _work_left is not None:
             p, q = pivot.bit_length(), prev.bit_length()
-            _charge((n - 1 - k) ** 2 * (100 * p * isqrt(p) + max(2 * p - q, 0) * q))
+            _charge((n - 1 - k) ** 2 * (2 * _product_cost(p, p) + max(2 * p - q, 0) * q))
         for row in rows[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, n):
@@ -98,20 +107,24 @@ def _jt_det(
     entries far longer than the pivots included), so 293 rows are refused.
     Given ``bits(a, b)``, an entry's length known before it is built, a
     block of two rows or more is also charged the first update each entry
-    joins, two products of about 50 p^1.5 units for p bits."""
+    joins, two products of p-bit factors.  Each block's determinant is
+    charged its product into the running one before it joins."""
     det, start, l = 1, 0, len(tops)
     for end in range(1, l + 1):
         if end == l or tops[end] < bottoms[end - 1]:
             if _work_left is not None:
                 _charge(4 * 10**4 * (end - start) ** 3)
             if end == start + 1:
-                det *= entry(tops[start], bottoms[start])
+                x = entry(tops[start], bottoms[start])
             else:
                 columns = bottoms[start:end]
                 if bits is not None and _work_left is not None:
                     sizes = [bits(a, b) for a in tops[start:end] for b in columns if a >= b]
-                    _charge(sum(100 * p * isqrt(p) for p in sizes))
-                det *= _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in tops[start:end]])
+                    _charge(sum(2 * _product_cost(p, p) for p in sizes))
+                x = _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in tops[start:end]])
+            if _work_left is not None:
+                _charge(_product_cost(det.bit_length(), x.bit_length()))
+            det *= x
             if not det:
                 return 0
             start = end

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewsieve import characters
+from skewsieve import characters, schur
 from skewsieve.abacus import _legal_moves, quotient, remove_strip_moves, skew_quotient
 from skewsieve.characters import (
     enumerate_bst,
@@ -402,6 +402,30 @@ def test_walk_memos_are_freed_without_the_cycle_collector():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_walks_charge_the_meter(monkeypatch):
+    # with no work left on the meter, each walk is refused at its first visit
+    shape = SkewShape.parse("3,3")
+    monkeypatch.setattr(schur, "_work_left", 0)
+    with pytest.raises(ValueError, match="the work meter ran out"):
+        skew_char(shape, [2, 2, 2])
+    monkeypatch.setattr(schur, "_work_left", 0)
+    with pytest.raises(ValueError, match="the work meter ran out"):
+        next(enumerate_bst(shape, 2))
+
+
+def test_small_ledgers_are_not_refused(monkeypatch):
+    # char --type and bst run skew_char_rect, and bst --show the listing, under a fresh
+    # meter of 10^12 units; none of them is refused on a shape of at most 8 cells
+    for lam in partitions_up_to(8):
+        for mu in subpartitions(lam):
+            shape = SkewShape(Partition(lam), Partition(mu))
+            for d in range(1, shape.size + 1):
+                if shape.size % d == 0:
+                    monkeypatch.setattr(schur, "_work_left", 10**12)
+                    skew_char_rect(shape, d)
+                    list(enumerate_bst(shape, d))
 
 
 def test_eval_at_root_examples():

@@ -13,7 +13,7 @@ import skewsieve
 import skewsieve.checks as checks
 from skewsieve import schur
 from skewsieve.cli import build_parser, run
-from skewsieve.qpoly import divisors
+from skewsieve.qpoly import QPoly, divisors
 from skewsieve.schur import count_ssyt
 from skewsieve.shapes import SkewShape
 
@@ -698,6 +698,71 @@ def test_shapes_with_one_tableau_answer(shape):
     assert in_a_child(["bst", "--shape", shape, "--order", "1"])[:3] == (0, "count: 1\nepsilon: 1\n", "")
 
 
+def staircase(rows):
+    return ",".join(str(i) for i in range(rows, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["specialize", "--shape", staircase(2000) + "/" + staircase(1999), "--vars", "2", "--mod", "7"],
+        ["char", "--shape", staircase(12), "--nu", ",".join(["1"] * 78)],
+    ],
+    ids=["specialize one cell on each of 2000 rows", "char 12-row staircase in 78 strips"],
+)
+def test_running_products_and_walks_are_metered(argv):
+    # the first joins 2000 one-row blocks, 1 + 2^(8w) of about 2000 bits each, into one
+    # running product, each join charged before it is taken; the second walks 8.9 * 10^6
+    # bead visits, each strip's configurations charged before they are expanded.  Unmetered,
+    # they answer after 8-14 s and 9-13 s (CPython 3.11, 2 CPUs); the meter runs out at
+    # 10^12 units, after 1-2 s of that work
+    code, out, err, seconds = in_a_child(argv)
+    assert seconds < 3.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+
+
+def test_the_product_of_root_value_components_is_metered():
+    # 2000 one-row components of 50 cells, each counted with 10^50 letters in about 8100
+    # bits, join one running product: unmetered, it ran past 60 s before the answer was
+    # refused for its digits; the meter runs out after 2.4-2.6 s (CPython 3.11, 2 CPUs)
+    argv = ["eval-root", "--shape", ",".join(["100000"] * 2000), "--vars", str(2000 * 10**50), "--order", "2000"]
+    code, out, err, seconds = in_a_child(argv)
+    assert seconds < 5.0
+    assert (code, out) == (1, "")
+    assert err == "error: the estimated determinant cost is above the limit of 10^12 units for eval-root\n"
+
+
+def test_running_products_and_walks_below_the_limit_answer():
+    # one cell on each of 200 rows: (1 + q)^200 folded mod q^7 - 1
+    folded = [sum(comb(200, i) for i in range(j, 201, 7)) for j in range(7)]
+    argv = ["specialize", "--shape", staircase(200) + "/" + staircase(199), "--vars", "2", "--mod", "7"]
+    assert in_a_child(argv)[:3] == (0, f"{QPoly(folded)}\n", "")
+    # the standard tableaux of the 9-row staircase, 1.5 * 10^5 bead visits
+    argv = ["char", "--shape", staircase(9), "--nu", ",".join(["1"] * 45)]
+    assert in_a_child(argv)[:3] == (0, "273035280663535522487992320\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["specialize", "--shape", "1" + "0" * 5000, "--vars", "2"], "--shape"),
+        (["specialize", "--shape", "2,1", "--vars", "1" * 5000], "--vars"),
+        (["char", "--shape", "2,1", "--nu", "1," + "2" * 5000], "--nu"),
+    ],
+    ids=["a 5001-digit part", "a 5000-digit --vars", "a 5000-digit part of --nu"],
+)
+def test_integer_literals_past_the_digit_limit_are_usage_errors(capsys, argv, flag):
+    # each run of digits is measured before int() reads it, so neither the interpreter's
+    # int-str message nor the argument reaches stderr
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: an integer is above the limit of 4300 digits\n")
+    assert len(err) < 500
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -900,6 +965,8 @@ def test_specialize_counts_the_fillings_once(capsys, monkeypatch):
         ["eval-root", "--shape", "3,3", "--vars", "4", "--order", "2"],
         ["char", "--shape", "3,3", "--type", "2"],
         ["bst", "--shape", "3,3", "--order", "2"],
+        ["char", "--shape", "3,3", "--nu", "2,2,2"],
+        ["bst", "--shape", "3,3", "--order", "2", "--show", "1"],
     ],
     ids=lambda argv: " ".join(argv),
 )

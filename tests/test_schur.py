@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -257,6 +257,14 @@ def test_kronecker_cost_separates_fast_from_slow_determinants(monkeypatch):
         with pytest.raises(ValueError, match="the work meter ran out"):
             principal_specialization(SkewShape.parse(s), k)
         assert time.perf_counter() - start < 1.0
+
+
+def test_two_products_of_p_bits_keep_their_price():
+    # the Bareiss step and the Kronecker pre-charge price two p-bit products each, the
+    # 100 p sqrt(p) units of their refusal pins
+    for p in [*range(5000), 10**6, 10**9 + 7, 2**61 - 1]:
+        assert 2 * schur._product_cost(p, p) == 100 * p * isqrt(p)
+    assert schur._product_cost(10**6, 2000) == schur._product_cost(2000, 10**6) == 50 * 10**6 * 44
 
 
 def test_specialization_degree_and_positivity():
