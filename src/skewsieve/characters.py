@@ -7,8 +7,8 @@ tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
 times Aitken determinants for their standard fillings, taken by the
 shared builder ``schur._jt_det`` one diagonal block at a time, whose
-component factorials cancel into one ratio of factorials, priced from
-the bead rows at the product price of ``schur`` before any factorial is
+component factorials cancel into one ratio of factorials, charged to
+the work meter from the bead rows before any factorial is
 taken) and the sign from the residue-class matching permutation.  Both,
 and the root-of-unity values, are read from the one pairing pass
 ``abacus._runners``: the bead rows of each occupied runner are the
@@ -23,7 +23,7 @@ an explicit stack of plain states, each a configuration with the strips
 removed on the way there; each strip's cells are read off its bead slide,
 not off rebuilt shapes.  While the work meter runs, the count charges
 each strip's configurations times beads before it expands them, and the
-listing each state it pops, at one price per bead visited, ``_VISIT``.
+listing each state it pops.
 """
 
 from __future__ import annotations
@@ -31,16 +31,9 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, NamedTuple
 
+from . import _meter, schur
 from .abacus import _legal_moves, _runners
-# the work meter, ``schur._work_left``, is set per command, so it is read
-# through the module
-from . import schur
 from .shapes import Composition, SkewShape
-
-
-# The price of one bead of one configuration visited by a walk: 1 to 2 us
-# on CPython 3.11 (staircases, 2 CPUs), so 10^12 units stay about 2 s.
-_VISIT = 10**6
 
 
 class BorderStripTableau(NamedTuple):
@@ -86,8 +79,8 @@ def enumerate_bst(shape: SkewShape, d: int) -> Iterator[BorderStripTableau]:
     stack = [(start, None, 0, (), ())]
     while stack:
         beta, p, height, strips, heights = stack.pop()
-        if schur._work_left is not None:
-            schur._charge(len(beta) * _VISIT)
+        if _meter.left is not None:
+            _meter.charge(len(beta) * _meter.VISIT, "tableau listing")
         if p is not None:
             strips, heights = (_strip_cells(beta, p, d, height),) + strips, (height,) + heights
         if beta == target:
@@ -132,10 +125,10 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     before any factorial is taken: x! has at most x bit_length(x) bits,
     and each factorial, each join into the running products of the a! and
     the b!, n!, the join of the two products and the final division are
-    priced as ``schur._product_cost`` products.  The quotient is a tableau
-    count below l^n (each strip slides one of the l beads), of at most
-    q = n bit_length(l) bits, so the dividend has at most q bits more than
-    the divisor, and the division costs q times the divisor's bits.
+    priced as products.  The quotient is a tableau count below l^n (each
+    strip slides one of the l beads), of at most q = n bit_length(l) bits,
+    so the dividend has at most q bits more than the divisor, and the
+    division costs q times the divisor's bits.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -145,17 +138,18 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
     if components is None:
         return SkewCharValue(0, 0)
     n = shape.size // d
-    if schur._work_left is not None:
+    if _meter.left is not None:
         units, bits = 0, [0, 0]
         for rows in components.values():
             for side, beads in enumerate(rows):
                 for x in beads:
                     t = x * x.bit_length()
-                    units += schur._product_cost(t, t) + schur._product_cost(bits[side], t)
+                    units += _meter.product_cost(t, t) + _meter.product_cost(bits[side], t)
                     bits[side] += t
         divisor, below = bits
         t, q = n * n.bit_length(), n * shape.outer.length.bit_length()
-        schur._charge(units + schur._product_cost(t, t) + schur._product_cost(q + divisor, below) + q * divisor)
+        units += _meter.product_cost(t, t) + _meter.product_cost(q + divisor, below) + q * divisor
+        _meter.charge(units, "factorial ledger")
     count, tops, bottoms = factorial(n), 1, 1
     for a, b in components.values():
         count *= schur._jt_det(a, b, comb)
@@ -179,8 +173,8 @@ def skew_char(shape: SkewShape, nu: Iterable[int]) -> int:
     # signed tableau counts per bead configuration after each strip
     counts = {start: 1}
     for size in reversed(sizes):
-        if schur._work_left is not None:
-            schur._charge(len(counts) * len(start) * _VISIT)
+        if _meter.left is not None:
+            _meter.charge(len(counts) * len(start) * _meter.VISIT, "strip walk")
         reached: dict[tuple[int, ...], int] = {}
         for beta, count in counts.items():
             for _, height, new in _legal_moves(beta, size, target):
@@ -249,8 +243,8 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
     product = 1
     for a, b in components.values():
         count = schur._jt_count(a, b, n_vars // d)
-        if schur._work_left is not None:
-            schur._charge(schur._product_cost(product.bit_length(), count.bit_length()))
+        if _meter.left is not None:
+            _meter.charge(_meter.product_cost(product.bit_length(), count.bit_length()), "root-value product")
         product *= count
     return permutation_sign(matching) * product
 

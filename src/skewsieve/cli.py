@@ -1,16 +1,16 @@
 """Command-line front end with stable text and JSON output.
 
 Exit codes: 0 success, 1 domain error (for example a missing quotient
-where one is required, a flag past its budget, determinants whose work
-passes the 10^12 units that ``run`` puts on the meter of ``schur``, or
-an answer of more than ``_DIGITS`` digits) or a stdout closed by its
-reader, 2 usage error, 3 internal error (a broken invariant inside the
-library, reported as one line on stderr).  argparse raises every usage
-error.  A command returns its JSON payload and its text (``verify`` also
-its exit code), and ``run`` writes one of them to stdout once, after the
-command succeeds, so an error leaves stdout empty.  All output is
-deterministic, whatever PYTHONINTMAXSTRDIGITS is set to; divisor maps
-keep the ascending key order in which ``analyze`` returns them.
+where one is required, a flag past its budget, work past the limit that
+``run`` sets on ``_meter``, or an answer of more than ``_DIGITS`` digits)
+or a stdout closed by its reader, 2 usage error, 3 internal error (a
+broken invariant inside the library, reported as one line on stderr).
+argparse raises every usage error.  A command returns its JSON payload
+and its text (``verify`` also its exit code), and ``run`` writes one of
+them to stdout once, after the command succeeds, so an error leaves
+stdout empty.  All output is deterministic, whatever
+PYTHONINTMAXSTRDIGITS is set to; divisor maps keep the ascending key
+order in which ``analyze`` returns them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .characters import (
 )
 from .checks import builtin_checks
 from .qpoly import QPoly, Verdict
-from . import schur
+from . import _meter, schur
 from .shapes import Composition, Partition, SkewShape
 
 
@@ -346,22 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     cap = _get_cap()
     _set_cap(_DIGITS)
-    # every determinant charges its work before it runs; 10^12 units is about 2 s
-    schur._work_left = 10**12
     try:
         args = build_parser().parse_args(argv)
+        _meter.left, _meter.command = _meter.LIMIT, args.command
         payload, text, *code = args.func(args)
         print(json.dumps(payload) if args.json else text)
     except ValueError as exc:
-        if schur._work_left < 0:
-            exc = f"the estimated determinant cost is above the limit of 10^12 units for {args.command}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     finally:
-        schur._work_left = None
+        _meter.left = _meter.command = None
         _set_cap(cap)
     return code[0] if code else 0
 

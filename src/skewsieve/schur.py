@@ -16,20 +16,15 @@ substitution).  It is the product over the diagonal blocks, one per run
 of rows that share columns, each by fraction-free (Bareiss) elimination
 in O(l^3) operations, or read off its one entry when it has one row.
 The fold mod q^m - 1 is taken last, on that integer, as its remainder
-mod 2^(8wm) - 1.
-While the CLI runs a command, every determinant charges its work to one
-meter, ``_work_left``, before doing it, from sizes it already holds;
-``_charge`` refuses the work once the meter runs out.  Every product is
-priced by ``_product_cost``, 50 max(p, q) sqrt(min(p, q)) units for a
-p-bit by q-bit product, including each block's join into the running
-determinant.
+mod 2^(8wm) - 1.  Each kernel charges ``_meter`` before it works.
 """
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 from typing import Callable, Iterator, Sequence
 
+from . import _meter
 from .qpoly import QPoly, _digits, _q_binomial_at, _width
 from .shapes import SkewShape
 
@@ -40,28 +35,6 @@ def jt_matrix(shape: SkewShape) -> tuple[tuple[int, ...], ...]:
     outer length."""
     tops, bottoms = shape.beta_sets()
     return tuple(tuple(a - b for b in bottoms) for a in tops)
-
-
-# The work a command may still do, in units of one bit-by-bit step of
-# CPython's schoolbook long division (about 2 ps on CPython 3.11, 2 CPUs).
-# The CLI sets it; None, as in library calls, charges nothing.
-_work_left: int | None = None
-
-
-def _charge(units: int) -> None:
-    """Take ``units`` of work about to run off the meter while it runs, and
-    refuse the work once the meter falls below 0."""
-    global _work_left
-    if _work_left is not None:
-        _work_left -= units
-        if _work_left < 0:
-            raise ValueError("the work meter ran out")
-
-
-def _product_cost(p: int, q: int) -> int:
-    """The price of a p-bit by q-bit product: 50 max(p, q) sqrt(min(p, q))
-    units, 50 p^1.5 for two factors of p bits."""
-    return 50 * max(p, q) * isqrt(min(p, q))
 
 
 def _integer_det(rows: list[list[int]]) -> int:
@@ -80,9 +53,10 @@ def _integer_det(rows: list[list[int]]) -> int:
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pivot, top = rows[k][k], rows[k]
-        if _work_left is not None:
+        if _meter.left is not None:
             p, q = pivot.bit_length(), prev.bit_length()
-            _charge((n - 1 - k) ** 2 * (2 * _product_cost(p, p) + max(2 * p - q, 0) * q))
+            step = 2 * _meter.product_cost(p, p) + max(2 * p - q, 0) * q
+            _meter.charge((n - 1 - k) ** 2 * step, "determinant")
         for row in rows[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, n):
@@ -112,18 +86,18 @@ def _jt_det(
     det, start, l = 1, 0, len(tops)
     for end in range(1, l + 1):
         if end == l or tops[end] < bottoms[end - 1]:
-            if _work_left is not None:
-                _charge(4 * 10**4 * (end - start) ** 3)
+            if _meter.left is not None:
+                _meter.charge(4 * 10**4 * (end - start) ** 3, "determinant")
             if end == start + 1:
                 x = entry(tops[start], bottoms[start])
             else:
                 columns = bottoms[start:end]
-                if bits is not None and _work_left is not None:
+                if bits is not None and _meter.left is not None:
                     sizes = [bits(a, b) for a in tops[start:end] for b in columns if a >= b]
-                    _charge(sum(2 * _product_cost(p, p) for p in sizes))
+                    _meter.charge(sum(2 * _meter.product_cost(p, p) for p in sizes), "determinant")
                 x = _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in tops[start:end]])
-            if _work_left is not None:
-                _charge(_product_cost(det.bit_length(), x.bit_length()))
+            if _meter.left is not None:
+                _meter.charge(_meter.product_cost(det.bit_length(), x.bit_length()), "determinant")
             det *= x
             if not det:
                 return 0
@@ -156,16 +130,16 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
     w = _width(count)
     b = 8 * w
     # shifting, folding and unpacking, per bit of the determinant
-    _charge(1000 * b * (shape.size * (k - 1) + 1))
+    _meter.charge(1000 * b * (shape.size * (k - 1) + 1), "Kronecker unpacking")
 
     def entry(top: int, bottom: int) -> int:
         e = top - bottom
-        if _work_left is not None:
+        if _meter.left is not None:
             # s = min(e, k - 1) divisions, the i-th of about b*t*i bits
             # (t = max(e, k - 1)) by b*i bits, plus about 300 units per bit
             # of the dividend: the sum over i <= s of b*t*i * (b*i + 300)
             s, t = min(e, k - 1), max(e, k - 1)
-            _charge(b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6)
+            _meter.charge(b * t * s * (s + 1) * (b * (2 * s + 1) + 900) // 6, "q-binomial entry")
         return _q_binomial_at(e, k, w)
 
     def bits(top: int, bottom: int) -> int:

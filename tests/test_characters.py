@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewsieve import characters, schur
+from skewsieve import _meter, characters
 from skewsieve.abacus import _legal_moves, quotient, remove_strip_moves, skew_quotient
 from skewsieve.characters import (
     enumerate_bst,
@@ -407,11 +407,11 @@ def test_walk_memos_are_freed_without_the_cycle_collector():
 def test_walks_charge_the_meter(monkeypatch):
     # with no work left on the meter, each walk is refused at its first visit
     shape = SkewShape.parse("3,3")
-    monkeypatch.setattr(schur, "_work_left", 0)
-    with pytest.raises(ValueError, match="the work meter ran out"):
+    monkeypatch.setattr(_meter, "left", 0)
+    with pytest.raises(ValueError, match="the strip walk cost is above the limit"):
         skew_char(shape, [2, 2, 2])
-    monkeypatch.setattr(schur, "_work_left", 0)
-    with pytest.raises(ValueError, match="the work meter ran out"):
+    monkeypatch.setattr(_meter, "left", 0)
+    with pytest.raises(ValueError, match="the tableau listing cost is above the limit"):
         next(enumerate_bst(shape, 2))
 
 
@@ -423,7 +423,7 @@ def test_small_ledgers_are_not_refused(monkeypatch):
             shape = SkewShape(Partition(lam), Partition(mu))
             for d in range(1, shape.size + 1):
                 if shape.size % d == 0:
-                    monkeypatch.setattr(schur, "_work_left", 10**12)
+                    monkeypatch.setattr(_meter, "left", _meter.LIMIT)
                     skew_char_rect(shape, d)
                     list(enumerate_bst(shape, d))
 

@@ -11,7 +11,7 @@ import pytest
 
 import skewsieve
 import skewsieve.checks as checks
-from skewsieve import schur
+from skewsieve import _meter, schur
 from skewsieve.cli import build_parser, run
 from skewsieve.qpoly import QPoly, divisors
 from skewsieve.schur import count_ssyt
@@ -32,6 +32,11 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(what, command):
+    """The stderr of a command refused by the work meter as it charged ``what``."""
+    return f"error: the {what} cost is above the limit of 10^12 units for {command}\n"
 
 
 def test_specialize_text(capsys):
@@ -548,29 +553,31 @@ def test_analyze_shift_is_bounded(capsys):
     assert (code, out, err) == (0, "verdict: not-pre-csp\n", "")
 
 
+KRONECKER_REFUSALS = [
+    ("Kronecker unpacking", ["analyze", "--shape", "5", "--vars", "3000001", "--mod", "3"]),
+    ("determinant", ["analyze", "--shape", "3,2", "--vars", "100000", "--mod", "7"]),
+    ("determinant", ["analyze", "--shape", "4,3,2,1", "--vars", "3000", "--mod", "7", "--shift", "1"]),
+    ("determinant", ["specialize", "--shape", "3,2,1", "--vars", "100000"]),
+    ("Kronecker unpacking", ["specialize", "--shape", "40", "--vars", "200000", "--mod", "1000"]),
+    ("Kronecker unpacking", ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"]),
+    ("Kronecker unpacking", ["analyze", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"]),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--shape", "5", "--vars", "3000001", "--mod", "3"],
-        ["analyze", "--shape", "3,2", "--vars", "100000", "--mod", "7"],
-        ["analyze", "--shape", "4,3,2,1", "--vars", "3000", "--mod", "7", "--shift", "1"],
-        ["specialize", "--shape", "3,2,1", "--vars", "100000"],
-        ["specialize", "--shape", "40", "--vars", "200000", "--mod", "1000"],
-        ["specialize", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"],
-        ["analyze", "--shape", "3,2", "--vars", "1" + "0" * 300, "--mod", "7"],
-    ],
-    ids=lambda argv: " ".join(argv[:5])[:40],
+    "what, argv", KRONECKER_REFUSALS, ids=[" ".join(argv[:5])[:40] for _, argv in KRONECKER_REFUSALS]
 )
-def test_kronecker_determinant_is_bounded(capsys, argv):
+def test_kronecker_determinant_is_bounded(capsys, what, argv):
     # each took about 10 s or more, or would never finish, when the determinant was built;
     # the kernels charge their work before it runs, so each is refused before the bulk of it.
     # Building the six entries of 3,2,1 at k = 10^5 alone takes about 0.5 s, so each entry of
-    # a block is charged its first elimination update before any is built
+    # a block is charged its first elimination update before any is built.  The one-row
+    # shapes, and 3,2 at 10^300 letters, are refused by the per-bit unpacking charge, taken
+    # before any entry is built
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < (0.1 if argv[2] == "3,2,1" and argv[4] == "100000" else 1.0)
-    assert (code, out) == (1, "")
-    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+    assert (code, out, err) == (1, "", refused(what, argv[0]))
 
 
 def test_coefficient_count_comes_before_the_determinant(capsys):
@@ -624,8 +631,7 @@ def test_tall_determinant_is_refused_on_rows_alone(capsys, argv):
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+    assert (code, out, err) == (1, "", refused("determinant", argv[0]))
 
 
 def test_root_values_are_bounded(capsys):
@@ -635,8 +641,7 @@ def test_root_values_are_bounded(capsys):
     start = time.perf_counter()
     code, out, err = invoke(capsys, argv)
     assert time.perf_counter() - start < 2.5
-    assert (code, out) == (1, "")
-    assert err == "error: the estimated determinant cost is above the limit of 10^12 units for analyze\n"
+    assert (code, out, err) == (1, "", refused("determinant", "analyze"))
 
 
 def in_a_child(argv, **env):
@@ -657,15 +662,15 @@ def in_a_child(argv, **env):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "what, argv",
     [
-        ["char", "--shape", "1000000", "--type", "1"],
-        ["char", "--shape", "3000000", "--type", "1"],
-        ["bst", "--shape", "3000000", "--order", "1"],
-        ["char", "--shape", "3000000,3000000", "--type", "1"],
-        ["char", "--shape", one_cell_on_rows(2000), "--type", "1"],
-        ["bst", "--shape", one_cell_on_rows(2000), "--order", "1"],
-        ["specialize", "--shape", "3,2,1", "--vars", "100000"],
+        ("factorial ledger", ["char", "--shape", "1000000", "--type", "1"]),
+        ("factorial ledger", ["char", "--shape", "3000000", "--type", "1"]),
+        ("factorial ledger", ["bst", "--shape", "3000000", "--order", "1"]),
+        ("factorial ledger", ["char", "--shape", "3000000,3000000", "--type", "1"]),
+        ("factorial ledger", ["char", "--shape", one_cell_on_rows(2000), "--type", "1"]),
+        ("factorial ledger", ["bst", "--shape", one_cell_on_rows(2000), "--order", "1"]),
+        ("determinant", ["specialize", "--shape", "3,2,1", "--vars", "100000"]),
     ],
     ids=[
         "char one row of 10^6",
@@ -677,16 +682,15 @@ def in_a_child(argv, **env):
         "specialize 3,2,1 k=10^5",
     ],
 )
-def test_metered_refusals_come_at_once(argv):
+def test_metered_refusals_come_at_once(what, argv):
     # the factorial ledger of a rectangular character, n! prod b! / prod a!, is charged from
     # the bead rows before any factorial is taken.  Uncharged, the first case answers after
     # about 15 s, the next two after about 90 s, and the next three run past 100 s (the
     # 2000-row ones in the factorial products, once Aitken's matrix splits into 1 x 1 blocks).
-    # The last case's Kronecker entries are charged before they are built
+    # The last case's Kronecker entries are charged their first updates before they are built
     code, out, err, seconds = in_a_child(argv)
     assert seconds < 1.0
-    assert (code, out) == (1, "")
-    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+    assert (code, out, err) == (1, "", refused(what, argv[0]))
 
 
 @pytest.mark.parametrize("shape", ["0", one_cell_on_rows(300)], ids=["empty shape", "one cell on 300 rows"])
@@ -703,14 +707,17 @@ def staircase(rows):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "what, argv",
     [
-        ["specialize", "--shape", staircase(2000) + "/" + staircase(1999), "--vars", "2", "--mod", "7"],
-        ["char", "--shape", staircase(12), "--nu", ",".join(["1"] * 78)],
+        (
+            "determinant",
+            ["specialize", "--shape", staircase(2000) + "/" + staircase(1999), "--vars", "2", "--mod", "7"],
+        ),
+        ("strip walk", ["char", "--shape", staircase(12), "--nu", ",".join(["1"] * 78)]),
     ],
     ids=["specialize one cell on each of 2000 rows", "char 12-row staircase in 78 strips"],
 )
-def test_running_products_and_walks_are_metered(argv):
+def test_running_products_and_walks_are_metered(what, argv):
     # the first joins 2000 one-row blocks, 1 + 2^(8w) of about 2000 bits each, into one
     # running product, each join charged before it is taken; the second walks 8.9 * 10^6
     # bead visits, each strip's configurations charged before they are expanded.  Unmetered,
@@ -718,8 +725,7 @@ def test_running_products_and_walks_are_metered(argv):
     # 10^12 units, after 1-2 s of that work
     code, out, err, seconds = in_a_child(argv)
     assert seconds < 3.0
-    assert (code, out) == (1, "")
-    assert err == f"error: the estimated determinant cost is above the limit of 10^12 units for {argv[0]}\n"
+    assert (code, out, err) == (1, "", refused(what, argv[0]))
 
 
 def test_the_product_of_root_value_components_is_metered():
@@ -729,8 +735,7 @@ def test_the_product_of_root_value_components_is_metered():
     argv = ["eval-root", "--shape", ",".join(["100000"] * 2000), "--vars", str(2000 * 10**50), "--order", "2000"]
     code, out, err, seconds = in_a_child(argv)
     assert seconds < 5.0
-    assert (code, out) == (1, "")
-    assert err == "error: the estimated determinant cost is above the limit of 10^12 units for eval-root\n"
+    assert (code, out, err) == (1, "", refused("root-value product", "eval-root"))
 
 
 def test_running_products_and_walks_below_the_limit_answer():
@@ -922,25 +927,35 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
 def test_the_meter_runs_only_inside_a_command(capsys, monkeypatch):
     import skewsieve.cli as cli
     assert invoke(capsys, ["specialize", "--shape", "2,1", "--vars", "2"])[0] == 0
-    assert schur._work_left is None
+    assert _meter.left is None
     assert invoke(capsys, ["char", "--shape", one_column(400), "--type", "1"])[0] == 1
-    assert schur._work_left is None
+    assert _meter.left is None
 
     def broken_guarantee(*args, **kwargs):
         raise RuntimeError("guaranteed case came out pre-csp")
 
     monkeypatch.setattr(cli, "analyze", broken_guarantee)
     assert invoke(capsys, ["analyze", "--shape", "2,2", "--vars", "2", "--mod", "2"])[0] == 3
-    assert schur._work_left is None
+    assert _meter.left is None
+
+    # a limit of one bead visit refuses each walk at its first configuration, of two
+    # beads: the listing inside its generator, after the ledger's few charges
+    monkeypatch.setattr(_meter, "LIMIT", _meter.VISIT)
+    for what, argv in [
+        ("strip walk", ["char", "--shape", "3,3", "--nu", "2,2,2"]),
+        ("tableau listing", ["bst", "--shape", "3,3", "--order", "2", "--show", "1"]),
+    ]:
+        assert invoke(capsys, argv) == (1, "", refused(what, argv[0]))
+        assert _meter.left is None and _meter.command is None
 
 
 def test_library_calls_are_not_capped():
     # the CLI refuses this at once (4 * 10^4 * 300^3 units for its one block); the
     # library answers it, about 0.5 s
-    assert schur._work_left is None
+    assert _meter.left is None
     assert count_ssyt(SkewShape.parse(one_column(300)), 2) == 0
-    schur._charge(10**30)
-    assert schur._work_left is None
+    _meter.charge(10**30, "determinant")
+    assert _meter.left is None
 
 
 def test_specialize_counts_the_fillings_once(capsys, monkeypatch):
@@ -955,32 +970,35 @@ def test_specialize_counts_the_fillings_once(capsys, monkeypatch):
     assert calls == [4]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["specialize", "--shape", "3,2/1", "--vars", "3"],
-        ["analyze", "--shape", "3,2/1", "--vars", "3", "--mod", "2"],
-        ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2"],
-        ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2", "--shift", "1"],
-        ["eval-root", "--shape", "3,3", "--vars", "4", "--order", "2"],
-        ["char", "--shape", "3,3", "--type", "2"],
-        ["bst", "--shape", "3,3", "--order", "2"],
-        ["char", "--shape", "3,3", "--nu", "2,2,2"],
-        ["bst", "--shape", "3,3", "--order", "2", "--show", "1"],
-    ],
-    ids=lambda argv: " ".join(argv),
-)
-def test_every_determinant_route_is_metered(capsys, monkeypatch, argv):
-    # a route that builds a determinant without charging it would escape the limit
-    charges, charge = [], schur._charge
+SPECIALIZATION = {"determinant", "Kronecker unpacking", "q-binomial entry"}
+ROOT_VALUES = {"determinant", "root-value product"}
+LEDGER = {"determinant", "factorial ledger"}
+ROUTE_CHARGES = [
+    (SPECIALIZATION, ["specialize", "--shape", "3,2/1", "--vars", "3"]),
+    (SPECIALIZATION, ["analyze", "--shape", "3,2/1", "--vars", "3", "--mod", "2"]),
+    (ROOT_VALUES, ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2"]),
+    (SPECIALIZATION, ["analyze", "--shape", "3,2/1", "--vars", "4", "--mod", "2", "--shift", "1"]),
+    (ROOT_VALUES, ["eval-root", "--shape", "3,3", "--vars", "4", "--order", "2"]),
+    (LEDGER, ["char", "--shape", "3,3", "--type", "2"]),
+    (LEDGER, ["bst", "--shape", "3,3", "--order", "2"]),
+    ({"strip walk"}, ["char", "--shape", "3,3", "--nu", "2,2,2"]),
+    (LEDGER | {"tableau listing"}, ["bst", "--shape", "3,3", "--order", "2", "--show", "1"]),
+]
 
-    def counting(units):
-        charges.append(units)
-        charge(units)
 
-    monkeypatch.setattr(schur, "_charge", counting)
+@pytest.mark.parametrize("labels, argv", ROUTE_CHARGES, ids=[" ".join(argv) for _, argv in ROUTE_CHARGES])
+def test_every_determinant_route_is_metered(capsys, monkeypatch, labels, argv):
+    # every route, walks and ledgers included, charges each layer it runs under that
+    # layer's name; a layer that works without charging would escape the limit
+    charged, charge = set(), _meter.charge
+
+    def recording(units, what):
+        charged.add(what)
+        charge(units, what)
+
+    monkeypatch.setattr(_meter, "charge", recording)
     assert invoke(capsys, argv)[0] == 0
-    assert charges
+    assert charged == labels
 
 
 # Every module outside skewsieve that importing skewsieve.cli adds to a bare

@@ -6,7 +6,7 @@ from math import comb, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewsieve import schur
+from skewsieve import _meter, schur
 from skewsieve.qpoly import (
     QPoly,
     Verdict,
@@ -249,12 +249,12 @@ def test_kronecker_cost_separates_fast_from_slow_determinants(monkeypatch):
     ]
     slow = [("5", 3 * 10**6), ("3,2", 10**5), ("3,2,1", 10**4), ("4,3,2,1", 3000), ("40", 2 * 10**5)]
     for s, k in fast:
-        monkeypatch.setattr(schur, "_work_left", 10**12)
+        monkeypatch.setattr(_meter, "left", _meter.LIMIT)
         principal_specialization(SkewShape.parse(s), k)
     for s, k in slow:
-        monkeypatch.setattr(schur, "_work_left", 10**12)
+        monkeypatch.setattr(_meter, "left", _meter.LIMIT)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="the work meter ran out"):
+        with pytest.raises(ValueError, match=r"cost is above the limit of 10\^12 units"):
             principal_specialization(SkewShape.parse(s), k)
         assert time.perf_counter() - start < 1.0
 
@@ -263,8 +263,8 @@ def test_two_products_of_p_bits_keep_their_price():
     # the Bareiss step and the Kronecker pre-charge price two p-bit products each, the
     # 100 p sqrt(p) units of their refusal pins
     for p in [*range(5000), 10**6, 10**9 + 7, 2**61 - 1]:
-        assert 2 * schur._product_cost(p, p) == 100 * p * isqrt(p)
-    assert schur._product_cost(10**6, 2000) == schur._product_cost(2000, 10**6) == 50 * 10**6 * 44
+        assert 2 * _meter.product_cost(p, p) == 100 * p * isqrt(p)
+    assert _meter.product_cost(10**6, 2000) == _meter.product_cost(2000, 10**6) == 50 * 10**6 * 44
 
 
 def test_specialization_degree_and_positivity():
