@@ -5,17 +5,18 @@ bead slides taking the outer display down to the inner one, with strips
 numbered in descending order of removal.  Character values never need the
 tableaux themselves.  On a rectangular type the quotient theorem gives
 the count in closed form (a multinomial of the d-quotient component sizes
-times Aitken determinants for their standard fillings, taken by the
-shared builder ``schur._jt_det`` one diagonal block at a time, whose
-component factorials cancel into one ratio of factorials, charged to
-the work meter from the bead rows before any factorial is
-taken) and the sign from the residue-class matching permutation.  Both,
-and the root-of-unity values, are read from the one pairing pass
-``abacus._runners``: the bead rows of each occupied runner are the
-components' beta-sets, so no component shape is built, and no empty
-runner is visited.  Only arbitrary types and the explicit tableau listing
-walk the reachable bead configurations, and those two walks are the
-independent oracles for the closed form.  Both are loops, so the number
+times Aitken determinants for their standard fillings, whose component
+factorials cancel into one ratio of factorials, charged to the work
+meter from the bead rows before any factorial is taken) and the sign
+from the residue-class matching permutation.  Those determinants, like
+the components' filling counts of a root-of-unity value, join one
+running product in ``schur._jt_det``.  Both values are read from the
+one pairing pass ``abacus._runners``: the bead rows of each occupied
+runner are the components' beta-sets, so no component shape is built,
+and no empty runner is visited.  Only arbitrary types and the explicit
+tableau listing walk the reachable bead configurations, and those two
+walks are the independent oracles for the closed form.  Both are loops,
+so the number
 of strips is not bounded by the recursion limit: the arbitrary-type count
 is a forward pass holding one signed count per configuration for the
 current and the next strip, and the listing is a depth-first search over
@@ -150,9 +151,9 @@ def skew_char_rect(shape: SkewShape, d: int) -> SkewCharValue:
         t, q = n * n.bit_length(), n * shape.outer.length.bit_length()
         units += _meter.product_cost(t, t) + _meter.product_cost(q + divisor, below) + q * divisor
         _meter.charge(units, "factorial ledger")
-    count, tops, bottoms = factorial(n), 1, 1
+    count = factorial(n) * schur._jt_det(components.values(), comb)
+    tops = bottoms = 1
     for a, b in components.values():
-        count *= schur._jt_det(a, b, comb)
         tops *= prod(map(factorial, a))
         bottoms *= prod(map(factorial, b))
     return SkewCharValue(count * bottoms // tops, permutation_sign(matching))
@@ -226,10 +227,9 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
     primitive d-th root of unity and d dividing n_vars.
 
     Zero unless the d-quotient exists; otherwise the character sign times
-    the product over components of their fillings with n_vars/d letters.
-    That product is zero exactly when some component has a column longer
-    than n_vars/d.  While the work meter runs, each component's count is
-    charged its product into the running one before it joins.
+    the product over components of their fillings with n_vars/d letters,
+    one running product in ``schur._jt_count``.  That product is zero
+    exactly when some component has a column longer than n_vars/d.
     """
     if n_vars < 1 or d < 1:
         raise ValueError("n_vars and d must be >= 1")
@@ -240,13 +240,7 @@ def eval_at_root(shape: SkewShape, n_vars: int, d: int) -> int:
         return 0
     if shape.size % d != 0:
         raise RuntimeError("a quotient exists but d does not divide the size")
-    product = 1
-    for a, b in components.values():
-        count = schur._jt_count(a, b, n_vars // d)
-        if _meter.left is not None:
-            _meter.charge(_meter.product_cost(product.bit_length(), count.bit_length()), "root-value product")
-        product *= count
-    return permutation_sign(matching) * product
+    return permutation_sign(matching) * schur._jt_count(components.values(), n_vars // d)
 
 
 def kostka_foulkes_rect_at_root(shape: SkewShape, n_vars: int, m: int) -> int:

@@ -22,7 +22,7 @@ mod 2^(8wm) - 1.  Each kernel charges ``_meter`` before it works.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _meter
 from .qpoly import QPoly, _digits, _q_binomial_at, _width
@@ -66,42 +66,45 @@ def _integer_det(rows: list[list[int]]) -> int:
 
 
 def _jt_det(
-    tops: Sequence[int],
-    bottoms: Sequence[int],
+    components: Iterable[tuple[Sequence[int], Sequence[int]]],
     entry: Callable[[int, int], int],
     bits: Callable[[int, int], int] | None = None,
 ) -> int:
-    """det[entry(a_i, b_j)] over the outer and inner beta-sets ``tops`` and
-    ``bottoms`` of one length, 0 where a_i < b_j: Jacobi-Trudi's for entries
-    h(a - b), Aitken's for C(a, b).  Where a_(i+1) < b_i, rows i and i + 1
-    share no column and every entry below row i left of column i + 1 is 0,
-    so the determinant is the product of the diagonal blocks', no entry off
-    them is built, and a one-row block is its own entry.  An n-row block is
-    first charged 4 * 10^4 n^3 units, n^3 / 3 updates of any bits (binomial
-    entries far longer than the pivots included), so 293 rows are refused.
-    Given ``bits(a, b)``, an entry's length known before it is built, a
-    block of two rows or more is also charged the first update each entry
-    joins, two products of p-bit factors.  Each block's determinant is
-    charged its product into the running one before it joins."""
-    det, start, l = 1, 0, len(tops)
-    for end in range(1, l + 1):
-        if end == l or tops[end] < bottoms[end - 1]:
-            if _meter.left is not None:
-                _meter.charge(4 * 10**4 * (end - start) ** 3, "determinant")
-            if end == start + 1:
-                x = entry(tops[start], bottoms[start])
-            else:
-                columns = bottoms[start:end]
-                if bits is not None and _meter.left is not None:
-                    sizes = [bits(a, b) for a in tops[start:end] for b in columns if a >= b]
-                    _meter.charge(sum(2 * _meter.product_cost(p, p) for p in sizes), "determinant")
-                x = _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in tops[start:end]])
-            if _meter.left is not None:
-                _meter.charge(_meter.product_cost(det.bit_length(), x.bit_length()), "determinant")
-            det *= x
-            if not det:
-                return 0
-            start = end
+    """The product of det[entry(a_i, b_j)], 0 where a_i < b_j, over the
+    ``components``, pairs of outer and inner beta-sets a and b of one length:
+    Jacobi-Trudi's for entries h(a - b), Aitken's for C(a, b).  Where
+    a_(i+1) < b_i, rows i and i + 1 share no column and every entry below
+    row i left of column i + 1 is 0, so a determinant is the product of its
+    diagonal blocks', no entry off them is built, and a one-row block is its
+    own entry.  The blocks of all components join one running product, which
+    stops at the first zero.  An n-row block is first charged 4 * 10^4 n^3
+    units, n^3 / 3 updates of any bits (binomial entries far longer than the
+    pivots included), so 293 rows are refused.  Given ``bits(a, b)``, an
+    entry's length known before it is built, a block of two rows or more is
+    also charged the first update each entry joins, two products of p-bit
+    factors.  Each block's determinant is charged its product into the
+    running one before it joins."""
+    det = 1
+    for tops, bottoms in components:
+        start, l = 0, len(tops)
+        for end in range(1, l + 1):
+            if end == l or tops[end] < bottoms[end - 1]:
+                if _meter.left is not None:
+                    _meter.charge(4 * 10**4 * (end - start) ** 3, "determinant")
+                if end == start + 1:
+                    x = entry(tops[start], bottoms[start])
+                else:
+                    rows, columns = tops[start:end], bottoms[start:end]
+                    if bits is not None and _meter.left is not None:
+                        sizes = [bits(a, b) for a in rows for b in columns if a >= b]
+                        _meter.charge(sum(2 * _meter.product_cost(p, p) for p in sizes), "determinant")
+                    x = _integer_det([[entry(a, b) if a >= b else 0 for b in columns] for a in rows])
+                if _meter.left is not None:
+                    _meter.charge(_meter.product_cost(det.bit_length(), x.bit_length()), "determinant")
+                det *= x
+                if not det:
+                    return 0
+                start = end
     return det
 
 
@@ -146,7 +149,7 @@ def principal_specialization(shape: SkewShape, k: int, mod: int | None = None) -
         e = top - bottom
         return b * min(e, k - 1) * max(e, k - 1)
 
-    det = _jt_det(*shape.beta_sets(), entry, bits)
+    det = _jt_det((shape.beta_sets(),), entry, bits)
     if det >= 0 and mod is not None and det.bit_length() > 8 * w * mod:
         det %= (1 << 8 * w * mod) - 1
     if det < 0 or sum(coeffs := _digits(det, w)) != count:
@@ -213,11 +216,11 @@ def ssyt_generating_function(shape: SkewShape, k: int) -> QPoly:
     return QPoly(coeffs)
 
 
-def _jt_count(tops: Sequence[int], bottoms: Sequence[int], k: int) -> int:
-    """count_ssyt of the skew shape whose outer and inner beta-sets, of one
-    length, are ``tops`` and ``bottoms``: at q = 1 the entry h_e is the
-    multiset count C(e + k - 1, k - 1) with e = a - b."""
-    return _jt_det(tops, bottoms, lambda a, b: comb(a - b + k - 1, k - 1))
+def _jt_count(components: Iterable[tuple[Sequence[int], Sequence[int]]], k: int) -> int:
+    """The product of count_ssyt over the skew shapes whose outer and inner
+    beta-sets, of one length, are the pairs in ``components``: at q = 1 the
+    entry h_e is the multiset count C(e + k - 1, k - 1) with e = a - b."""
+    return _jt_det(components, lambda a, b: comb(a - b + k - 1, k - 1))
 
 
 def count_ssyt(shape: SkewShape, k: int) -> int:
@@ -228,4 +231,4 @@ def count_ssyt(shape: SkewShape, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _jt_count(*shape.beta_sets(), k)
+    return _jt_count((shape.beta_sets(),), k)

@@ -2,14 +2,18 @@
 
 Run the shortest operation of each kind of every workload once, under the
 benchmark's tracer, through the same prepare, call, canonical form and
-check steps as ``bench/run.py``.  A name the benchmark needs that has gone
+check steps as ``bench/run.py``, and run the set-up of each workload the
+benchmark declares.  A name or argument the benchmark needs that has gone
 from the library then fails here.  Nothing in ``bench/`` is changed.
 """
 
+import importlib.util
+import json
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 sys.path.insert(0, str(BENCH))
 
 import inputs  # noqa: E402
@@ -43,3 +47,15 @@ def test_benchmark_operations_run_and_check_under_the_tracer():
         tracer.uninstall()
     assert ran >= len(inputs.WORKLOADS)
     assert tracer.count("shapes.parse") > 0
+
+
+def test_every_declared_workload_sets_up():
+    # set-up warms the det-rows tables through principal_specialization(..., mod=m),
+    # a call no operation makes
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert workloads
+    for name in workloads:
+        assert run.Workload(name, 1).setup() > 0

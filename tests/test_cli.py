@@ -735,7 +735,7 @@ def test_the_product_of_root_value_components_is_metered():
     argv = ["eval-root", "--shape", ",".join(["100000"] * 2000), "--vars", str(2000 * 10**50), "--order", "2000"]
     code, out, err, seconds = in_a_child(argv)
     assert seconds < 5.0
-    assert (code, out, err) == (1, "", refused("root-value product", "eval-root"))
+    assert (code, out, err) == (1, "", refused("determinant", "eval-root"))
 
 
 def test_running_products_and_walks_below_the_limit_answer():
@@ -971,7 +971,7 @@ def test_specialize_counts_the_fillings_once(capsys, monkeypatch):
 
 
 SPECIALIZATION = {"determinant", "Kronecker unpacking", "q-binomial entry"}
-ROOT_VALUES = {"determinant", "root-value product"}
+ROOT_VALUES = {"determinant"}
 LEDGER = {"determinant", "factorial ledger"}
 ROUTE_CHARGES = [
     (SPECIALIZATION, ["specialize", "--shape", "3,2/1", "--vars", "3"]),

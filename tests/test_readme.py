@@ -1,5 +1,6 @@
 """The README's examples print what their comments say."""
 
+import ast
 import contextlib
 import io
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 
 from skewsieve.cli import run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _block(language: str) -> list[str]:
@@ -49,3 +51,18 @@ def test_commented_cli_examples_print_their_comments(capsys):
         assert run(shlex.split(command)[1:]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (comment.strip() + "\n", "")
+
+
+def test_the_meter_labels_are_the_ones_charged():
+    # the README's labels, out of parentheses, against the literal label of
+    # every _meter.charge call in the library
+    text = re.search(r"`<what>` is one of \w+ labels:(.*?)\n- ", README.read_text(), re.S).group(1)
+    listed = set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", text)))
+    charged = set()
+    for path in (ROOT / "src" / "skewsieve").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_meter.charge":
+                label = node.args[1]
+                assert isinstance(label, ast.Constant), f"{path.name}:{node.lineno}"
+                charged.add(label.value)
+    assert listed == charged

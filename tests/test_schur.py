@@ -178,14 +178,20 @@ def disconnected_shapes(draw):
 @example((SkewShape.parse("3,2,2,1/2,2,1"), SkewShape.parse("1/0"), SkewShape.parse("2,1/1")), 2)
 def test_determinant_is_the_product_over_disconnected_row_blocks(shapes, k):
     shape, a, b = shapes
-    tops, bottoms = shape.beta_sets()
+    tops, bottoms = beads = shape.beta_sets()
+    pieces = [a.beta_sets(), b.beta_sets()]
+    # entries that depend only on a_i - b_j give the product of the two
+    # pieces' determinants, whether taken as one matrix or as two components
     for n in range(1, 5):
         count = lambda x, y: comb(x - y + n - 1, n - 1)
-        assert _jt_det(tops, bottoms, count) == jt_det_whole(tops, bottoms, count)
+        assert _jt_det([beads], count) == jt_det_whole(tops, bottoms, count)
+        assert _jt_det(pieces, count) == _jt_det([beads], count)
     w = _width(count_ssyt(shape, k))
     value = lambda x, y: _q_binomial_at(x - y, k, w)
-    assert _jt_det(tops, bottoms, value) == jt_det_whole(tops, bottoms, value)
-    assert _jt_det(tops, bottoms, comb) == jt_det_whole(tops, bottoms, comb)
+    assert _jt_det([beads], value) == jt_det_whole(tops, bottoms, value)
+    assert _jt_det(pieces, value) == _jt_det([beads], value)
+    assert _jt_det([beads], comb) == jt_det_whole(tops, bottoms, comb)
+    assert _jt_det(pieces, comb) == jt_det_whole(*pieces[0], comb) * jt_det_whole(*pieces[1], comb)
     assert principal_specialization(shape, k) == (
         principal_specialization(a, k) * principal_specialization(b, k)
     )
@@ -212,6 +218,12 @@ def test_only_the_diagonal_blocks_are_eliminated(monkeypatch):
     assert skew_char_rect(SkewShape.parse("8,5,2/6,3"), 2) == (6, 1)
     assert sizes == []
     assert skew_char_rect(SkewShape.parse("5,4/3"), 2) == (2, 1)
+    assert sizes == [2]
+    # the 2-quotient of 2,2,2,2 is two columns of two cells, one 2-row block
+    # each; with one letter the first count is 0, and the running product
+    # stops there
+    sizes.clear()
+    assert eval_at_root(SkewShape.parse("2,2,2,2"), 2, 2) == 0
     assert sizes == [2]
 
 
