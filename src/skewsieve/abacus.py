@@ -157,9 +157,17 @@ def _legal_moves(
     """All bead slides p -> p - d whose result still dominates the target.
 
     ``beta`` and ``target`` are strictly decreasing position tuples of
-    equal length.  Returns (position, height, new beta) triples with the
-    height counting beads strictly between p - d and p; moves are listed
-    by decreasing position.
+    equal length, and ``beta`` must already dominate ``target`` bead by
+    bead; every caller starts at ``SkewShape.beta_sets()`` (which checks
+    containment) and follows only moves returned here.  Returns (position,
+    height, new beta) triples with the height counting beads strictly
+    between p - d and p; moves are listed by decreasing position.
+
+    A slide of the bead at index ``idx`` that comes to rest at index j
+    (j - idx is the height) changes only indices idx..j: each bead it
+    passes moves up one index and the slid bead lands at j.  The others
+    keep their beads from ``beta``, which already dominate, so only that
+    span is checked against the target.
     """
     occupied = set(beta)
     moves = []
@@ -176,7 +184,7 @@ def _legal_moves(
             new[j], new[j + 1] = new[j + 1], new[j]
             j += 1
             height += 1
-        if all(nb >= tb for nb, tb in zip(new, target)):
+        if all(new[i] >= target[i] for i in range(idx, j + 1)):
             moves.append((p, height, tuple(new)))
     return moves
 

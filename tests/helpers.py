@@ -10,8 +10,10 @@ coefficients, and the dense Mobius-inversion decomposition) build on
 inversion are the references for the factorisation routes in ``qpoly``,
 the whole-matrix determinant is the reference for the block split in
 ``schur``, and with it the whole Aitken matrices for the rectangular
-characters, and the pairing read off two runner dictionaries is the
-reference for the one-loop pass ``abacus._runners``.
+characters, the pairing read off two runner dictionaries is the
+reference for the one-loop pass ``abacus._runners``, and sorting each
+slid display and comparing it whole with the target is the reference for
+``abacus._legal_moves``.
 """
 
 from __future__ import annotations
@@ -479,6 +481,23 @@ def runners_by_two_displays(shape: SkewShape, d: int):
         return None, matching
     return {t: ([outer[i] // d for i in at], [inner[j] // d for j in inner_on[t]])
             for t, at in outer_on.items()}, matching
+
+
+def legal_moves_reference(beta: tuple[int, ...], d: int, target: tuple[int, ...]):
+    """Reference for ``abacus._legal_moves``: every bead p whose position
+    p - d is free slides there, the display is sorted again, the height is
+    the number of beads strictly between p - d and p, and the new display
+    is compared with the target on its full length.  Returns the same
+    (position, height, new beta) triples, by decreasing position."""
+    moves = []
+    for p in sorted(beta, reverse=True):
+        q = p - d
+        if q < 0 or q in beta:
+            continue
+        new = tuple(sorted((q if b == p else b for b in beta), reverse=True))
+        if all(a >= b for a, b in zip(new, target)):
+            moves.append((p, sum(q < b < p for b in beta), new))
+    return moves
 
 
 def csp_decompose_dense(f: QPoly, m: int) -> CspDecomposition:

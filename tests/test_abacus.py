@@ -21,6 +21,7 @@ from helpers import (
     diagram_core,
     diagram_peel_exists,
     diagram_strip_removals,
+    legal_moves_reference,
     partitions_up_to,
     runners_by_two_displays,
     subpartitions,
@@ -298,3 +299,38 @@ def test_bead_moves_match_diagram_surgery():
             }
             expected = {(nu, h) for nu, h in diagram_strip_removals(lam, d)}
             assert moved == expected
+
+
+@st.composite
+def dominated_displays(draw):
+    """(beta, d, target): strictly decreasing positions of equal length l,
+    beta dominating target bead by bead, as every caller of
+    ``_legal_moves`` holds them.  From the last bead up, each bead of beta
+    sits at a drawn distance above the larger of its target bead and the
+    bead below it, so every dominating display can be drawn."""
+    l = draw(st.integers(1, 10))
+    target = tuple(sorted(draw(st.sets(st.integers(0, 3 * l), min_size=l, max_size=l)),
+                          reverse=True))
+    beta = [0] * l
+    floor = -1
+    for i in range(l - 1, -1, -1):
+        floor = beta[i] = max(target[i], floor + 1) + draw(st.integers(0, 4))
+    return tuple(beta), draw(st.integers(1, l + 3)), target
+
+
+@settings(max_examples=400)
+@given(dominated_displays())
+# 2,1/2 with d = 1: sliding 3 -> 2 passes no bead, yet drops below the target's 3
+@example(((3, 1), 1, (3, 0)))
+def test_legal_moves_match_the_reference(case):
+    beta, d, target = case
+    assert _legal_moves(beta, d, target) == legal_moves_reference(beta, d, target)
+
+
+def test_legal_moves_match_the_reference_on_the_grid():
+    assert remove_strip_moves(Partition([2, 1]), 1, Partition([2])) == [(1, 0)]
+    for lam in partitions_up_to(8):
+        for mu in subpartitions(lam):
+            beta, target = SkewShape(Partition(lam), Partition(mu)).beta_sets()
+            for d in range(1, 7):
+                assert _legal_moves(beta, d, target) == legal_moves_reference(beta, d, target)
